@@ -21,6 +21,7 @@ type t = {
   nodes : (int, node) Hashtbl.t;  (* rid -> node, for O(1) unlink *)
   mutable tindexes : Index.t list;
   mutable ixgen : int;  (* bumped whenever the index list changes *)
+  mutable gen : int;  (* bumped by every mutation: rows or indexes *)
   mutable count : int;
 }
 
@@ -40,12 +41,14 @@ let create ~name ~schema =
     nodes = Hashtbl.create 64;
     tindexes = [];
     ixgen = 0;
+    gen = 0;
     count = 0;
   }
 
 let name t = t.tname
 let schema t = t.tschema
 let cardinal t = t.count
+let generation t = t.gen
 
 let iter t f =
   let rec loop = function
@@ -67,6 +70,7 @@ let create_index t ~name ~kind ~cols =
   iter t (fun r -> Index.add idx r);
   t.tindexes <- t.tindexes @ [ idx ];
   t.ixgen <- t.ixgen + 1;
+  t.gen <- t.gen + 1;
   idx
 
 let find_index t name =
@@ -98,7 +102,8 @@ let link_last t node =
     t.last <- Some node);
   (* rids are unique, so the new binding cannot shadow an existing one *)
   Hashtbl.add t.nodes node.record.Record.rid node;
-  t.count <- t.count + 1
+  t.count <- t.count + 1;
+  t.gen <- t.gen + 1
 
 (* Splice [node] into [old_node]'s list position; [old_node] is detached.
    Must run before anything clears [old_node]'s links. *)
@@ -114,7 +119,8 @@ let replace_node t ~old_node node =
   old_node.prev <- None;
   old_node.next <- None;
   Hashtbl.remove t.nodes old_node.record.Record.rid;
-  Hashtbl.replace t.nodes node.record.Record.rid node
+  Hashtbl.replace t.nodes node.record.Record.rid node;
+  t.gen <- t.gen + 1
 
 let unlink t node =
   (match node.prev with
@@ -126,7 +132,8 @@ let unlink t node =
   node.prev <- None;
   node.next <- None;
   Hashtbl.remove t.nodes node.record.Record.rid;
-  t.count <- t.count - 1
+  t.count <- t.count - 1;
+  t.gen <- t.gen + 1
 
 let node_of t (r : Record.t) =
   match Hashtbl.find_opt t.nodes r.Record.rid with

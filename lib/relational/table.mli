@@ -25,6 +25,13 @@ val schema : t -> Schema.t
 val cardinal : t -> int
 (** Number of live records. *)
 
+val generation : t -> int
+(** Mutation counter, bumped by every insert, update, delete and
+    {!create_index}.  Two observations of one table with the same
+    generation see the same rows, in the same order, and the same
+    indexes — which lets checkpointing reuse an unchanged table's
+    encoding. *)
+
 val create_index : t -> name:string -> kind:Index.kind -> cols:string list -> Index.t
 (** Build (and register) an index over existing rows.
     @raise Not_found if a column name is unknown.

@@ -62,6 +62,8 @@ type t = {
   mutable isolated : (Strip_db.t * int * int) option;
   mutable ship_skips : int;
       (* shipped segments cut short by ship-time verification *)
+  mutable bootstrap_bytes : int;  (* checkpoint images shipped to re-seed *)
+  mutable resent_bytes : int;  (* segment bytes shipped below a cursor *)
 }
 
 let primary_durable t =
@@ -82,6 +84,23 @@ let seed_image d =
       (fun image -> (image, Durable.snapshot_lsn d, Durable.snapshot_time d))
       (Durable.snapshot d)
 
+(* Replication slot: the primary's checkpoints keep the log back to the
+   slowest live replica's applied LSN (bounded by one checkpoint
+   interval, see [Strip_db.checkpoint]), so a replica that is merely a
+   ship tick behind is never re-seeded with a full image. *)
+let hold_log_for replicas d =
+  if Array.length replicas > 0 then
+    Durable.set_truncation_hold d
+      (Some
+         (fun () ->
+           Array.fold_left
+             (fun acc r -> min acc (Replica.applied_lsn r))
+             max_int replicas))
+
+(* A deposed primary serves no replica: its store must not keep the
+   log back on their behalf. *)
+let release_hold t = Durable.set_truncation_hold (primary_durable t) None
+
 let create ?(trace_for = fun _ -> None) cfg ~primary ~read_table ~read_key_col
     ~read_keys ~read_until =
   if cfg.n_replicas < 0 then invalid_arg "Cluster.create: n_replicas < 0";
@@ -99,9 +118,12 @@ let create ?(trace_for = fun _ -> None) cfg ~primary ~read_table ~read_key_col
         | Some s -> s
         | None -> invalid_arg "Cluster.create: no checkpoint to bootstrap from"
       in
-      ( Array.init cfg.n_replicas (fun i ->
-            Replica.bootstrap ?trace:(trace_for i) ~id:i ~image ~lsn ~time ()),
-        lsn )
+      let replicas =
+        Array.init cfg.n_replicas (fun i ->
+            Replica.bootstrap ?trace:(trace_for i) ~id:i ~image ~lsn ~time ())
+      in
+      hold_log_for replicas d;
+      (replicas, lsn)
     end
   in
   {
@@ -130,6 +152,8 @@ let create ?(trace_for = fun _ -> None) cfg ~primary ~read_table ~read_key_col
     partitions = 0;
     isolated = None;
     ship_skips = 0;
+    bootstrap_bytes = 0;
+    resent_bytes = 0;
   }
 
 let primary t = t.primary
@@ -200,6 +224,7 @@ let ship_tick_from t ~db ~cursor ~epoch ~now =
         | Some (image, lsn, time) ->
           Link.send ~epoch t.links.(i) ~now
             (Link.Bootstrap { image; lsn; time });
+          t.bootstrap_bytes <- t.bootstrap_bytes + String.length image;
           trace_ship ~replica:i ~from_lsn:lsn ~bytes:(String.length image)
             "ship_bootstrap";
           cursor.(i) <- lsn
@@ -236,6 +261,8 @@ let ship_tick_from t ~db ~cursor ~epoch ~now =
           if String.length bytes > 0 then begin
             Link.send ~epoch t.links.(i) ~now
               (Link.Segment { from_lsn = from; bytes });
+            t.resent_bytes <-
+              t.resent_bytes + max 0 (min cursor.(i) upto - from);
             trace_ship ~replica:i ~from_lsn:from ~bytes:(upto - from)
               "ship_segment"
           end;
@@ -458,6 +485,7 @@ let promote t ~now ~mk_db ~reinstall =
     let promoted_lsn = Replica.applied_lsn winner in
     let old_end = Wal.durable_end (Durable.wal (primary_durable t)) in
     let lost_bytes = max 0 (old_end - promoted_lsn) in
+    release_hold t;
     let ndb = mk_db (Replica.durable winner) in
     let rs =
       Recovery.recover ndb
@@ -498,6 +526,7 @@ let promote_isolated t ~now ~mk_db ~reinstall =
      heals, not counted as promotion loss. *)
   drain_all t ~now;
   let old_db = t.primary and old_epoch = t.epoch in
+  release_hold t;
   let winner = elect t in
   let promoted_lsn = Replica.applied_lsn winner in
   let ndb = mk_db (Replica.durable winner) in
@@ -567,6 +596,7 @@ let resume t ~now ~ship_until =
         Replica.note_epoch r t.epoch;
         t.sent_end.(i) <- lsn)
       t.replicas);
+  hold_log_for t.replicas d;
   (* Reads routed to the primary during the outage queue behind it. *)
   t.primary_busy <- Float.max t.primary_busy now;
   Stats.record_failover (Strip_db.stats t.primary);
@@ -616,6 +646,8 @@ let segments_sent t = sum Link.n_sent t
 let segments_dropped t = sum Link.n_dropped t
 let partition_drops_total t = sum Link.n_partition_drops t
 let bytes_shipped t = sum Link.bytes_sent t
+let bootstrap_bytes_total t = t.bootstrap_bytes
+let resent_bytes_total t = t.resent_bytes
 let fenced_messages_total t =
   Array.fold_left (fun a r -> a + Replica.n_fenced r) 0 t.replicas
 
@@ -641,6 +673,9 @@ let register_metrics t reg =
   M.probe_int reg "repl_segments_sent_total" (fun () -> segments_sent t);
   M.probe_int reg "repl_segments_dropped_total" (fun () -> segments_dropped t);
   M.probe_int reg "repl_bytes_shipped_total" (fun () -> bytes_shipped t);
+  M.probe_int reg "repl_bootstrap_bytes_total" (fun () ->
+      bootstrap_bytes_total t);
+  M.probe_int reg "repl_resent_bytes_total" (fun () -> resent_bytes_total t);
   M.probe_family reg "repl_applied_lsn" (fun () ->
       Array.to_list
         (Array.map

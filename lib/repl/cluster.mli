@@ -6,8 +6,11 @@
     so a dropped segment is simply covered again next tick and duplicate
     delivery is handled idempotently by the replica), or a heartbeat when
     there is nothing new, which advances the replica's freshness horizon.
-    A replica that has fallen behind the primary's truncation horizon is
-    re-seeded with a full checkpoint image through the same link.
+    The primary's checkpoints keep the log back to the slowest live
+    replica's applied LSN (a truncation hold on its
+    {!Strip_txn.Durable.t}, bounded by one checkpoint interval), so only
+    a replica that has fallen further behind than that is re-seeded with
+    a full checkpoint image through the same link.
 
     Reads are routed by {!read_policy}; each node owns a single-lane
     service queue, so read latency is queueing plus metered execution
@@ -71,6 +74,8 @@ val create :
     be merged into one cluster trace with
     {!Strip_obs.Trace.merge_chrome_json}.  Ship, promote and heal events
     land in the shipping / promoted node's own buffer, epoch-stamped.
+    With replicas, sets the primary store's truncation hold to the lowest
+    applied LSN over the replicas.
     @raise Invalid_argument if [n_replicas > 0] and the
     primary has no durability layer or no checkpoint installed. *)
 
@@ -136,9 +141,9 @@ val promote :
     In-flight link messages die with the old primary.  With zero
     replicas this degrades gracefully to crash-restart recovery from the
     dead primary's own durable store ([promoted = -1]) instead of
-    refusing.  Re-raises {!Strip_txn.Fault.Crashed} if the fault
-    injector fells the new primary mid-recovery; the call may simply be
-    retried. *)
+    refusing.  The deposed primary's store loses its truncation hold.
+    Re-raises {!Strip_txn.Fault.Crashed} if the fault injector fells
+    the new primary mid-recovery; the call may simply be retried. *)
 
 val begin_partition : t -> now:float -> heal_at:float -> unit
 (** Isolate the {e current} primary: add a partition window tagged with
@@ -169,8 +174,9 @@ val heal : t -> now:float -> int
 
 val resume : t -> now:float -> ship_until:float -> unit
 (** After {!promote} (and after downtime accounting): re-seed every
-    replica slot from the promoted primary's fresh checkpoint, bump the
-    primary read lane past the outage, and restart shipping. *)
+    replica slot from the promoted primary's fresh checkpoint, hold the
+    promoted store's log for the replicas, bump the primary read lane
+    past the outage, and restart shipping. *)
 
 val final_sync : t -> now:float -> unit
 (** End of run: deliver everything in flight and graft any remaining
@@ -200,6 +206,14 @@ val last_read_done : t -> float
 val segments_sent : t -> int
 val segments_dropped : t -> int
 val bytes_shipped : t -> int
+
+val bootstrap_bytes_total : t -> int
+(** Checkpoint-image bytes shipped to re-seed replicas that fell behind
+    the primary's log. *)
+
+val resent_bytes_total : t -> int
+(** Segment bytes shipped below a replica's ship cursor — bytes the
+    replica was already sent once. *)
 
 val partition_drops_total : t -> int
 (** Messages discarded by partition windows across all links. *)

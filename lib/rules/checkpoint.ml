@@ -24,25 +24,30 @@ type t = {
   queue : queue_entry list;  (* task-id order *)
 }
 
-let snap_table tb =
+let snap_cols tb =
+  List.map (fun (c : Schema.column) -> (c.Schema.cname, c.Schema.cty))
+    (Schema.columns (Table.schema tb))
+
+let snap_indexes tb =
   let schema = Table.schema tb in
-  let cols =
-    List.map (fun (c : Schema.column) -> (c.Schema.cname, c.Schema.cty))
-      (Schema.columns schema)
-  in
-  let indexes =
-    List.map
-      (fun ix ->
-        let names =
-          Array.to_list
-            (Array.map
-               (fun pos -> (Schema.col schema pos).Schema.cname)
-               (Index.key_cols ix))
-        in
-        (Index.name ix, Index.kind ix, names))
-      (Table.indexes tb)
-  in
-  { tname = Table.name tb; cols; indexes; rows = Table.to_rows tb }
+  List.map
+    (fun ix ->
+      let names =
+        Array.to_list
+          (Array.map
+             (fun pos -> (Schema.col schema pos).Schema.cname)
+             (Index.key_cols ix))
+      in
+      (Index.name ix, Index.kind ix, names))
+    (Table.indexes tb)
+
+let snap_table tb =
+  {
+    tname = Table.name tb;
+    cols = snap_cols tb;
+    indexes = snap_indexes tb;
+    rows = Table.to_rows tb;
+  }
 
 let snap_queue reg =
   List.map
@@ -68,12 +73,15 @@ let capture ~cat ~views ~reg ~now ~wal_lsn =
     queue = snap_queue reg;
   }
 
+let queue_rows queue =
+  List.fold_left
+    (fun acc q ->
+      List.fold_left (fun acc (_, rows) -> acc + List.length rows) acc q.qbound)
+    0 queue
+
 let total_rows t =
   List.fold_left (fun acc ts -> acc + List.length ts.rows) 0 t.tables
-  + List.fold_left
-      (fun acc q ->
-        List.fold_left (fun acc (_, rows) -> acc + List.length rows) acc q.qbound)
-      0 t.queue
+  + queue_rows t.queue
 
 (* Rebuild tables into a fresh catalog: raw inserts (no locking or
    logging — recovery runs outside any transaction), indexes built after
@@ -103,20 +111,31 @@ let get_kind r =
   | 1 -> Index.Ordered
   | tag -> raise (Codec.Decode_error (Printf.sprintf "index kind %d" tag))
 
-let put_table_snap b ts =
-  Codec.put_string b ts.tname;
+let put_table_head b ~tname ~cols ~indexes =
+  Codec.put_string b tname;
   Codec.put_list b
     (fun b (name, ty) ->
       Codec.put_string b name;
       Codec.put_ty b ty)
-    ts.cols;
+    cols;
   Codec.put_list b
     (fun b (name, kind, cols) ->
       Codec.put_string b name;
       put_kind b kind;
       Codec.put_list b Codec.put_string cols)
-    ts.indexes;
+    indexes
+
+let put_table_snap b ts =
+  put_table_head b ~tname:ts.tname ~cols:ts.cols ~indexes:ts.indexes;
   Codec.put_list b Codec.put_values ts.rows
+
+(* [put_table_snap (snap_table tb)] straight off the live table, without
+   materializing the row copies. *)
+let put_table b tb =
+  put_table_head b ~tname:(Table.name tb) ~cols:(snap_cols tb)
+    ~indexes:(snap_indexes tb);
+  Codec.put_u32 b (Table.cardinal tb);
+  Table.iter tb (fun r -> Codec.put_values b r.Record.values)
 
 let get_table_snap r =
   let tname = Codec.get_string r in
@@ -160,18 +179,66 @@ let get_queue_entry r =
   in
   { qfunc; qkey; qrelease_time; qcreated_at; qbound }
 
+let put_views b views =
+  Codec.put_list b
+    (fun b (name, sql) ->
+      Codec.put_string b name;
+      Codec.put_string b sql)
+    views
+
 let encode t =
   let b = Buffer.create 65536 in
   Codec.put_float b t.taken_at;
   Codec.put_int b t.wal_lsn;
   Codec.put_list b put_table_snap t.tables;
-  Codec.put_list b
-    (fun b (name, sql) ->
-      Codec.put_string b name;
-      Codec.put_string b sql)
-    t.views;
+  put_views b t.views;
   Codec.put_list b put_queue_entry t.queue;
   Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Incremental images.                                                  *)
+
+(* Where one table's encoding sits inside the previous image.  A table
+   is reused only if it is the very same table (a dropped and re-created
+   namesake is a different value) at the same mutation generation. *)
+type slice = { tb : Table.t; gen : int; off : int; len : int }
+
+type cache = {
+  mutable image : string;  (* the previous image; slices point into it *)
+  mutable slices : slice list;
+}
+
+let create_cache () = { image = ""; slices = [] }
+let cached_tables c = List.length c.slices
+
+let encode_catalog c ~cat ~views ~reg ~now ~wal_lsn =
+  let b = Buffer.create (max 65536 (String.length c.image)) in
+  Codec.put_float b now;
+  Codec.put_int b wal_lsn;
+  let tables = Catalog.tables cat in
+  Codec.put_u32 b (List.length tables);
+  let slices =
+    List.map
+      (fun tb ->
+        let gen = Table.generation tb in
+        let off = Buffer.length b in
+        (match List.find_opt (fun s -> s.tb == tb) c.slices with
+        | Some s when s.gen = gen -> Buffer.add_substring b c.image s.off s.len
+        | _ -> put_table b tb);
+        { tb; gen; off; len = Buffer.length b - off })
+      tables
+  in
+  put_views b views;
+  let queue = snap_queue reg in
+  Codec.put_list b put_queue_entry queue;
+  let image = Buffer.contents b in
+  c.image <- image;
+  c.slices <- slices;
+  let rows =
+    List.fold_left (fun acc tb -> acc + Table.cardinal tb) 0 tables
+    + queue_rows queue
+  in
+  (image, rows)
 
 let decode s =
   let r = Codec.reader s in

@@ -60,3 +60,32 @@ val encode : t -> string
 
 val decode : string -> t
 (** @raise Strip_txn.Codec.Decode_error on a malformed image. *)
+
+(** {1 Incremental images}
+
+    Between two checkpoints usually only a few tables change (the base
+    table the feed updates and the views maintained from it).  A [cache]
+    remembers where each table's encoding sits inside the previous image
+    together with the table's {!Strip_relational.Table.generation}, so
+    the next image re-encodes only tables that moved and copies the rest
+    as slices of the previous image.  The cache holds the previous image
+    itself — the same string the durable slot holds, not a copy. *)
+
+type cache
+
+val create_cache : unit -> cache
+
+val cached_tables : cache -> int
+(** Tables whose encoding the cache can reuse (0 for a fresh cache). *)
+
+val encode_catalog :
+  cache ->
+  cat:Catalog.t ->
+  views:(string * string) list ->
+  reg:Unique.t ->
+  now:float ->
+  wal_lsn:int ->
+  string * int
+(** [(image, rows)] where [image] is byte-identical to
+    [encode (capture ~cat ~views ~reg ~now ~wal_lsn)] and [rows] equals
+    that snapshot's {!total_rows}.  Updates the cache to the new image. *)

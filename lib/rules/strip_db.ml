@@ -17,6 +17,7 @@ type t = {
   prov : Strip_obs.Provenance.t option;
   mutable views : (string * Sql_parser.select_ast) list;  (* newest first *)
   mutable view_sql : (string * string) list;  (* newest first *)
+  ckpt_cache : Checkpoint.cache;  (* this instance's previous image *)
 }
 
 (* Register every component's counters, gauges and distributions into one
@@ -220,6 +221,7 @@ let create ?policy ?cost ?now ?fault ?durable ?retry ?overload ?servers
     prov = provenance;
     views = [];
     view_sql = [];
+    ckpt_cache = Checkpoint.create_cache ();
   }
 
 let catalog t = t.cat
@@ -234,6 +236,7 @@ let trace t = t.tracer
 let slo t = t.slo
 let provenance t = t.prov
 let now t = Clock.now t.clk
+let checkpoint_cache t = t.ckpt_cache
 
 let with_txn t f =
   let txn = Transaction.begin_ ~cat:t.cat ~locks:t.lcks ~clock:t.clk () in
@@ -452,31 +455,40 @@ let checkpoint t =
        call may land anywhere). *)
     if Wal.pending_bytes w > 0 then Wal.fsync w;
     let lsn = Wal.durable_end w in
-    let snap =
-      Checkpoint.capture ~cat:t.cat ~views:(view_sql t)
-        ~reg:(Rule_manager.registry t.mgr) ~now:(Clock.now t.clk) ~wal_lsn:lsn
+    let taken_at = Clock.now t.clk in
+    let encoded, rows =
+      Checkpoint.encode_catalog t.ckpt_cache ~cat:t.cat ~views:(view_sql t)
+        ~reg:(Rule_manager.registry t.mgr) ~now:taken_at ~wal_lsn:lsn
     in
-    let encoded = Checkpoint.encode snap in
-    Meter.tick_n "checkpoint_row" (Checkpoint.total_rows snap);
+    Meter.tick_n "checkpoint_row" rows;
     (* Crash site: the image is built but not installed.  The previous
        checkpoint and the untruncated log remain the recovery source. *)
     (match t.fi with
     | None -> ()
     | Some fi -> Fault.fire fi ~site:Fault.Crash ~txid:0 ~detail:"checkpoint");
-    Durable.install_checkpoint d ~encoded ~lsn ~time:snap.Checkpoint.taken_at;
+    let prev_lsn = Durable.snapshot_lsn d in
+    Durable.install_checkpoint d ~encoded ~lsn ~time:taken_at;
     (* Truncate before appending the mark — the byte stream is identical
        (the mark's LSN was fixed above), and reclaiming first means a
        disk-full clamp cannot livelock checkpointing: by the time the
        mark needs space, the replayed log is already gone.  With
        [retain >= 2] slots, truncation stops at the oldest retained
-       slot's LSN so CRC-failure fallback keeps its redo tail. *)
-    let cut = Durable.truncation_floor d in
+       slot's LSN so CRC-failure fallback keeps its redo tail.  A
+       replica's truncation hold keeps the log back further, but never
+       below the previous checkpoint: a replica more than one interval
+       behind is re-seeded rather than pinning the log. *)
+    let cut =
+      match Durable.truncation_hold d with
+      | None -> Durable.truncation_floor d
+      | Some hold -> min (Durable.truncation_floor d) (max prev_lsn hold)
+    in
+    (* After a scrubber emergency truncate, a retained slot (and a lagging
+       replica) can sit below the log's base; the log never grows back. *)
+    let cut = max cut (Wal.base_lsn w) in
     Wal.truncate_to w ~lsn:cut;
     Durable.note_truncated d ~below:cut;
     wal_guard (fun () ->
-        ignore
-          (Wal.append w
-             (Wal.Checkpoint_mark { time = snap.Checkpoint.taken_at; lsn })));
+        ignore (Wal.append w (Wal.Checkpoint_mark { time = taken_at; lsn })));
     Wal.fsync w
 
 let schedule_checkpoints t ~every ?start ?(until = infinity) () =

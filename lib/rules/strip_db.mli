@@ -202,7 +202,18 @@ val checkpoint : t -> unit
     behind the image's LSN.  Charges ["checkpoint_row"] per captured row.
     The mid-checkpoint [Crash] fault site fires between capture and
     install, so a crash there recovers from the {e previous} image.
+
+    The log is cut at {!Strip_txn.Durable.truncation_floor}, or — when a
+    {!Strip_txn.Durable.truncation_hold} is set — no further than the
+    hold, but never below the previous checkpoint's LSN.  The image is
+    built incrementally ({!Checkpoint.encode_catalog}): only tables
+    whose generation moved since this instance's previous image are
+    re-encoded.
     @raise Invalid_argument without a durability layer. *)
+
+val checkpoint_cache : t -> Checkpoint.cache
+(** This instance's incremental-image cache; a fresh instance (such as
+    the one recovery builds after a crash) starts with an empty one. *)
 
 val schedule_checkpoints :
   t -> every:float -> ?start:float -> ?until:float -> unit -> unit

@@ -129,23 +129,56 @@ let get_ty r =
   | tag -> fail "get_ty: unknown tag %d" tag
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3), the classic reflected polynomial.               *)
+(* CRC-32 (IEEE 802.3), the classic reflected polynomial, computed
+   slicing-by-8: eight 256-entry tables, laid out back to back, where
+   entry [k * 256 + n] is the CRC register contribution of byte [n]
+   followed by [k] zero bytes.  Table 0 is the classic byte-wise table,
+   which also finishes the (< 8 byte) tail. *)
 
-let crc_table =
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (8 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+         else c := !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 7 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+       done
+     done;
+     t)
+
+let u32_le s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let tbl = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := tbl.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  let stop = pos + len in
+  if len > 0 && (pos < 0 || stop > String.length s) then
+    invalid_arg "Codec.crc32: range outside the string";
+  let tbl = Lazy.force crc_tables in
+  (* every index below is < 8 * 256 by construction *)
+  let t k n = Array.unsafe_get tbl ((k lsl 8) lor n) in
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  while !i + 8 <= stop do
+    let lo = !c lxor u32_le s !i and hi = u32_le s (!i + 4) in
+    c :=
+      t 7 (lo land 0xff)
+      lxor t 6 ((lo lsr 8) land 0xff)
+      lxor t 5 ((lo lsr 16) land 0xff)
+      lxor t 4 (lo lsr 24)
+      lxor t 3 (hi land 0xff)
+      lxor t 2 ((hi lsr 8) land 0xff)
+      lxor t 1 ((hi lsr 16) land 0xff)
+      lxor t 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to stop - 1 do
+    c := t 0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF

@@ -47,4 +47,7 @@ val get_ty : reader -> Strip_relational.Value.ty
 (** {1 Integrity} *)
 
 val crc32 : ?pos:int -> ?len:int -> string -> int
-(** CRC-32 (IEEE) of a substring; the WAL's per-entry checksum. *)
+(** CRC-32 (IEEE) of a substring; the WAL's per-entry checksum and the
+    checkpoint slots' image checksum.  Computed slicing-by-8, bit-identical
+    to the byte-at-a-time table loop.  An empty window gives 0.
+    @raise Invalid_argument if a non-empty window leaves the string. *)

@@ -32,6 +32,7 @@ type t = {
   mutable checkpoints : int;
   mutable media_armed : bool;
   mutable ledger : media_fault list;  (* newest first *)
+  mutable hold : (unit -> int) option;  (* lowest LSN a replica still needs *)
 }
 
 let create ?wal ?(retain = 1) () =
@@ -42,6 +43,7 @@ let create ?wal ?(retain = 1) () =
     checkpoints = 0;
     media_armed = false;
     ledger = [];
+    hold = None;
   }
 
 let wal t = t.wal
@@ -84,6 +86,9 @@ let verified_slot t =
 
 let truncation_floor t =
   match List.rev t.slots with [] -> 0 | oldest :: _ -> oldest.s_lsn
+
+let set_truncation_hold t hold = t.hold <- hold
+let truncation_hold t = Option.map (fun f -> f ()) t.hold
 
 (* ------------------------------------------------------------------ *)
 (* Media-fault ledger.  Every injected at-rest fault is recorded here

@@ -56,6 +56,17 @@ val truncation_floor : t -> int
 (** LSN of the oldest retained slot — the log must not be truncated past
     it or slot fallback loses its redo tail.  0 when no slot exists. *)
 
+val set_truncation_hold : t -> (unit -> int) option -> unit
+(** Install (or, with [None], drop) a truncation hold: a probe for the
+    lowest LSN a live replica still needs — the analogue of a
+    replication slot.  A checkpoint keeps the log back to the hold, but
+    never below the previous checkpoint's LSN, so a replica more than one
+    checkpoint interval behind is re-seeded instead of pinning the log.
+    The scrubber's emergency truncate ignores it. *)
+
+val truncation_hold : t -> int option
+(** The hold's current value; [None] when no hold is set. *)
+
 val slots_valid : t -> bool
 (** All retained slots pass their CRC. *)
 

@@ -342,6 +342,144 @@ let test_checkpoint_roundtrip () =
   Alcotest.(check int) "no divergence after drain" 0
     (List.length (Auditor.audit db).Auditor.divergences)
 
+(* Incremental images: whatever mix of row changes, new indexes and
+   dropped-and-recreated namesakes happens between checkpoints, the
+   cache-assisted image is byte-identical to a full capture. *)
+let full_image db ~lsn =
+  let snap =
+    Checkpoint.capture ~cat:(Strip_db.catalog db) ~views:(Strip_db.view_sql db)
+      ~reg:(Rule_manager.registry (Strip_db.rules db))
+      ~now:(Strip_db.now db) ~wal_lsn:lsn
+  in
+  (Checkpoint.encode snap, Checkpoint.total_rows snap)
+
+let test_incremental_image_property () =
+  for seed = 0 to 9 do
+    Task.reset_ids ();
+    let rng = Random.State.make [| seed; 0x1ca9e |] in
+    let durable = Durable.create () in
+    let db = setup_durable_db durable in
+    Strip_db.exec_script db
+      "create table churn (k int, v float); insert into churn values (1, 1.0)";
+    let cache = Checkpoint.create_cache () in
+    let n_index = ref 0 and now = ref 0.0 in
+    for step = 1 to 40 do
+      let k = Random.State.int rng 6 in
+      let v = Random.State.float rng 100.0 in
+      (match Random.State.int rng 8 with
+      | 0 | 1 ->
+        ignore
+          (Strip_db.exec db
+             (Printf.sprintf "insert into churn values (%d, %g)" k v))
+      | 2 ->
+        ignore
+          (Strip_db.exec db
+             (Printf.sprintf "update churn set v = %g where k = %d" v k))
+      | 3 ->
+        ignore
+          (Strip_db.exec db (Printf.sprintf "delete from churn where k = %d" k))
+      | 4 ->
+        incr n_index;
+        ignore
+          (Strip_db.exec db
+             (Printf.sprintf "create index churn_ix%d on churn (%s)"
+                !n_index
+                (if Random.State.bool rng then "k" else "v")))
+      | 5 ->
+        (* a new table under the old name, brought to the old one's
+           generation: only table identity tells them apart *)
+        let gen t = Table.generation (Catalog.table_exn (Strip_db.catalog db) t) in
+        let old_gen = gen "churn" in
+        ignore (Strip_db.exec db "drop table churn");
+        ignore (Strip_db.exec db "create table churn (k int, v float)");
+        while gen "churn" < old_gen do
+          ignore
+            (Strip_db.exec db
+               (Printf.sprintf "insert into churn values (%d, %g)"
+                  (Random.State.int rng 6) (Random.State.float rng 100.0)))
+        done
+      | 6 ->
+        (* base updates queue (and merge) unique transactions *)
+        Strip_db.submit_update db ~at:!now (fun txn ->
+            ignore
+              (Transaction.exec txn
+                 (Printf.sprintf "update stocks set price = %g where symbol = 'S%d'"
+                    v (1 + (k mod 3)))));
+        now := !now +. 0.4;
+        Strip_db.run db ~until:!now
+      | _ ->
+        (* the checkpoint path's own cache agrees too *)
+        Strip_db.checkpoint db;
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d step %d: installed image" seed step)
+          (fst (full_image db ~lsn:(Durable.snapshot_lsn durable)))
+          (Option.get (Durable.snapshot durable)));
+      let lsn = Wal.durable_end (Durable.wal durable) in
+      let image, rows =
+        Checkpoint.encode_catalog cache ~cat:(Strip_db.catalog db)
+          ~views:(Strip_db.view_sql db)
+          ~reg:(Rule_manager.registry (Strip_db.rules db))
+          ~now:(Strip_db.now db) ~wal_lsn:lsn
+      in
+      let expected, expected_rows = full_image db ~lsn in
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      Alcotest.(check string) (what ^ ": image") expected image;
+      Alcotest.(check int) (what ^ ": rows") expected_rows rows
+    done;
+    (* a crash discards the instance, and its cache with it *)
+    Strip_db.crash db;
+    let db2 = Strip_db.create ~now:!now ~durable () in
+    Alcotest.(check int) "a fresh instance starts with an empty cache" 0
+      (Checkpoint.cached_tables (Strip_db.checkpoint_cache db2));
+    ignore (Recovery.recover db2 ~reinstall:(fun () -> install_comp_rule db2));
+    Alcotest.(check string) "recovery's checkpoint is a full image"
+      (fst (full_image db2 ~lsn:(Durable.snapshot_lsn durable)))
+      (Option.get (Durable.snapshot durable))
+  done
+
+(* Slicing-by-8 CRC against the classic byte-at-a-time loop. *)
+let reference_crc32 ?(pos = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - pos in
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_matches_bytewise () =
+  Alcotest.(check int) "empty string" 0 (Codec.crc32 "");
+  Alcotest.(check int) "the standard check value" 0xCBF43926
+    (Codec.crc32 "123456789");
+  let rng = Random.State.make [| 0xc3c |] in
+  for _ = 1 to 200 do
+    let n = Random.State.int rng 70 in
+    let s = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+    Alcotest.(check int) "whole string" (reference_crc32 s) (Codec.crc32 s);
+    (* every (pos, len) window, including the empty ones at both ends *)
+    for pos = 0 to n do
+      Alcotest.(check int) "suffix" (reference_crc32 ~pos s) (Codec.crc32 ~pos s);
+      for len = 0 to n - pos do
+        Alcotest.(check int) "window"
+          (reference_crc32 ~pos ~len s)
+          (Codec.crc32 ~pos ~len s)
+      done
+    done
+  done;
+  let big = String.init 100_003 (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  Alcotest.(check int) "a long string" (reference_crc32 big) (Codec.crc32 big);
+  Alcotest.check_raises "a window past the end is refused"
+    (Invalid_argument "Codec.crc32: range outside the string") (fun () ->
+      ignore (Codec.crc32 ~pos:3 ~len:8 "0123456789"))
+
 (* ------------------------------------------------------------------ *)
 (* Crash + restart: exactly-once across the WAL and rebuilt queue *)
 
@@ -668,6 +806,10 @@ let suite =
       [
         Alcotest.test_case "fuzzy checkpoint round-trip" `Quick
           test_checkpoint_roundtrip;
+        Alcotest.test_case "incremental image equals a full capture" `Quick
+          test_incremental_image_property;
+        Alcotest.test_case "crc32 slicing-by-8 matches byte-wise" `Quick
+          test_crc32_matches_bytewise;
       ] );
     ( "recovery/restart",
       [

@@ -527,6 +527,86 @@ let test_promote_without_replicas_degrades () =
     (view_rows (Strip_db.catalog ndb) = expected)
 
 (* ------------------------------------------------------------------ *)
+(* Truncation hold: replicas pin the primary's log, by at most one
+   checkpoint interval *)
+
+let two_replica_cluster db =
+  Cluster.create
+    { Cluster.default_config with n_replicas = 2 }
+    ~primary:db ~read_table:"comp_prices" ~read_key_col:"comp"
+    ~read_keys:[| "C1" |] ~read_until:0.0
+
+let test_hold_bounded_by_previous_checkpoint () =
+  Task.reset_ids ();
+  let durable = Durable.create () in
+  let db = Test_recovery.setup_durable_db durable in
+  Strip_db.checkpoint db;
+  let c = two_replica_cluster db in
+  let stuck = Cluster.replica c 0 and live = Cluster.replica c 1 in
+  (* replica 0 sits behind a partition for 6 s; replica 1 keeps up *)
+  Link.add_partition_window (Cluster.link c 0) ~from_s:0.5 ~until_s:6.5;
+  for k = 1 to 40 do
+    let at = 0.2 *. float_of_int k in
+    update_stock db ~at (if k mod 2 = 0 then "S1" else "S2") (30.0 +. at)
+  done;
+  Cluster.schedule_shipping c ~until:10.0;
+  let wal = Durable.wal durable in
+  let fell_behind = ref false in
+  for k = 1 to 9 do
+    Strip_db.run db ~until:(float_of_int k);
+    let prev = Durable.snapshot_lsn durable in
+    Strip_db.checkpoint db;
+    let base = Wal.base_lsn wal in
+    Alcotest.(check bool)
+      (Printf.sprintf "t=%d: base %d not pinned below the previous checkpoint %d" k
+         base prev)
+      true (base >= prev);
+    Alcotest.(check bool)
+      (Printf.sprintf "t=%d: the live replica's tail is kept" k)
+      true
+      (base <= Replica.applied_lsn live);
+    if base > Replica.applied_lsn stuck then fell_behind := true
+  done;
+  Strip_db.run db;
+  Cluster.final_sync c ~now:(Strip_db.now db);
+  Alcotest.(check bool) "the stuck replica fell past the bound" true
+    !fell_behind;
+  Alcotest.(check int) "so it was re-seeded once" 1 (Replica.n_bootstraps stuck);
+  Alcotest.(check bool) "the re-seed shipped an image" true
+    (Cluster.bootstrap_bytes_total c > 0);
+  Alcotest.(check int) "the live replica never was" 0
+    (Replica.n_bootstraps live);
+  Alcotest.(check bool) "both converged to the primary" true
+    (view_rows (Replica.catalog stuck) = view_rows (Strip_db.catalog db)
+    && view_rows (Replica.catalog live) = view_rows (Strip_db.catalog db))
+
+let test_deposed_store_drops_its_hold () =
+  let promote_with promote =
+    Task.reset_ids ();
+    let durable = Durable.create () in
+    let db = Test_recovery.setup_durable_db durable in
+    Strip_db.checkpoint db;
+    update_stock db ~at:0.0 "S1" 31.0;
+    let c = two_replica_cluster db in
+    Alcotest.(check bool) "replicas hold the primary's log" true
+      (Durable.truncation_hold durable <> None);
+    Cluster.schedule_shipping c ~until:3.0;
+    Strip_db.run db ~until:3.0;
+    let ndb, _rs, _p =
+      promote c ~now:3.0
+        ~mk_db:(fun dur -> Strip_db.create ~now:3.0 ~durable:dur ())
+        ~reinstall:(fun ndb -> Test_recovery.install_comp_rule ndb)
+    in
+    Alcotest.(check (option int)) "the deposed store carries no hold" None
+      (Durable.truncation_hold durable);
+    Cluster.resume c ~now:3.0 ~ship_until:3.0;
+    Alcotest.(check bool) "the promoted store holds for the replicas" true
+      (Durable.truncation_hold (Option.get (Strip_db.durable ndb)) <> None)
+  in
+  promote_with Cluster.promote;
+  promote_with Cluster.promote_isolated
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: experiment failover loop, routing policies, determinism *)
 
 let with_repl ?(policy = Cluster.Bounded_staleness 0.5) ?(rate = 25.0)
@@ -599,6 +679,57 @@ let test_any_policy_spreads_reads () =
     (r.Experiment.reads_replica > 0);
   Alcotest.(check bool) "primary served its round-robin share" true
     (r.Experiment.reads_primary > 0)
+
+(* Drop-free steady state: replicas keep pace with the log, so after the
+   initial bootstrap nothing is re-seeded, and the link carries each WAL
+   byte about once per replica. *)
+let test_steady_state_ships_each_byte_once () =
+  Task.reset_ids ();
+  let cfg = with_repl ~policy:Cluster.Any (quick_cfg ()) in
+  let cfg =
+    {
+      cfg with
+      Experiment.recovery =
+        Some
+          {
+            Experiment.default_recovery with
+            Experiment.checkpoint_every = Some 5.0;
+          };
+    }
+  in
+  let m = Experiment.run cfg in
+  let r = Option.get m.Experiment.repl in
+  let rc = Option.get m.Experiment.recovery in
+  Alcotest.(check bool) "periodic checkpoints ran" true
+    (rc.Experiment.n_checkpoints > 2);
+  List.iter
+    (fun (pr : Experiment.replica_metrics) ->
+      Alcotest.(check int)
+        (Printf.sprintf "replica %d: no re-seed" pr.Experiment.r_id)
+        0 pr.Experiment.r_bootstraps)
+    r.Experiment.per_replica;
+  let counter name =
+    match Strip_obs.Metrics.find m.Experiment.registry name with
+    | Some (Strip_obs.Metrics.Int n) -> n
+    | _ -> Alcotest.fail (name ^ " missing from the registry")
+  in
+  let bootstrap = counter "repl_bootstrap_bytes_total" in
+  Alcotest.(check int) "no image shipped" 0 bootstrap;
+  let bound =
+    1.1
+    *. float_of_int
+         ((r.Experiment.n_replicas * rc.Experiment.wal_appended_bytes)
+         + bootstrap)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "bytes shipped %d within 1.1x of %d replicas x %d WAL bytes"
+       r.Experiment.bytes_shipped r.Experiment.n_replicas
+       rc.Experiment.wal_appended_bytes)
+    true
+    (float_of_int r.Experiment.bytes_shipped <= bound);
+  Alcotest.(check bool) "resent bytes are counted, and few" true
+    (float_of_int (counter "repl_resent_bytes_total")
+    <= 0.1 *. float_of_int r.Experiment.bytes_shipped)
 
 let test_no_repl_surface_without_config () =
   Task.reset_ids ();
@@ -729,6 +860,10 @@ let suite =
           test_promotion_opens_new_epoch;
         Alcotest.test_case "promotion without replicas degrades to restart"
           `Quick test_promote_without_replicas_degrades;
+        Alcotest.test_case "hold never pins below the previous checkpoint"
+          `Quick test_hold_bounded_by_previous_checkpoint;
+        Alcotest.test_case "a deposed store drops its truncation hold" `Quick
+          test_deposed_store_drops_its_hold;
       ] );
     ( "repl/experiment",
       [
@@ -742,6 +877,8 @@ let suite =
           test_any_policy_spreads_reads;
         Alcotest.test_case "unreplicated runs expose no repl surface" `Slow
           test_no_repl_surface_without_config;
+        Alcotest.test_case "steady state: no re-seeds, each byte shipped once"
+          `Slow test_steady_state_ships_each_byte_once;
         Alcotest.test_case "split-brain: partition, fence, heal, converge"
           `Slow test_split_brain_failover;
         Alcotest.test_case "split-brain runs are deterministic" `Slow
