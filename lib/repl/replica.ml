@@ -37,7 +37,7 @@ let restore_image ~image ~lsn ~time =
   Meter.tick_n "repl_bootstrap_row" (Checkpoint.total_rows cp);
   let wal = Wal.create ~base_lsn:lsn () in
   let dur = Durable.create ~wal () in
-  Durable.install_checkpoint dur ~encoded:image ~lsn ~time;
+  Durable.install_checkpoint dur ~segments:[ Durable.segment image ] ~lsn ~time;
   (cat, wal, dur, cp.Checkpoint.taken_at)
 
 let bootstrap ?trace ~id ~image ~lsn ~time () =

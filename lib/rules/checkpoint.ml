@@ -198,47 +198,56 @@ let encode t =
 (* ------------------------------------------------------------------ *)
 (* Incremental images.                                                  *)
 
-(* Where one table's encoding sits inside the previous image.  A table
-   is reused only if it is the very same table (a dropped and re-created
-   namesake is a different value) at the same mutation generation. *)
-type slice = { tb : Table.t; gen : int; off : int; len : int }
+(* One table's segment of the previous image.  A table is reused only
+   if it is the very same table (a dropped and re-created namesake is a
+   different value) at the same mutation generation. *)
+type slice = { tb : Table.t; gen : int; seg : Durable.segment }
 
 type cache = {
-  mutable image : string;  (* the previous image; slices point into it *)
   mutable slices : slice list;
+  scratch : Buffer.t;  (* reused by every segment encoded *)
 }
 
-let create_cache () = { image = ""; slices = [] }
+let create_cache () = { slices = []; scratch = Buffer.create 65536 }
 let cached_tables c = List.length c.slices
 
+let encode_segment c put =
+  Buffer.clear c.scratch;
+  put c.scratch;
+  Durable.segment (Buffer.contents c.scratch)
+
 let encode_catalog c ~cat ~views ~reg ~now ~wal_lsn =
-  let b = Buffer.create (max 65536 (String.length c.image)) in
-  Codec.put_float b now;
-  Codec.put_int b wal_lsn;
   let tables = Catalog.tables cat in
-  Codec.put_u32 b (List.length tables);
+  let header =
+    encode_segment c (fun b ->
+        Codec.put_float b now;
+        Codec.put_int b wal_lsn;
+        Codec.put_u32 b (List.length tables))
+  in
   let slices =
     List.map
       (fun tb ->
         let gen = Table.generation tb in
-        let off = Buffer.length b in
-        (match List.find_opt (fun s -> s.tb == tb) c.slices with
-        | Some s when s.gen = gen -> Buffer.add_substring b c.image s.off s.len
-        | _ -> put_table b tb);
-        { tb; gen; off; len = Buffer.length b - off })
+        let seg =
+          match List.find_opt (fun s -> s.tb == tb) c.slices with
+          | Some s when s.gen = gen -> s.seg
+          | _ -> encode_segment c (fun b -> put_table b tb)
+        in
+        { tb; gen; seg })
       tables
   in
-  put_views b views;
   let queue = snap_queue reg in
-  Codec.put_list b put_queue_entry queue;
-  let image = Buffer.contents b in
-  c.image <- image;
+  let trailer =
+    encode_segment c (fun b ->
+        put_views b views;
+        Codec.put_list b put_queue_entry queue)
+  in
   c.slices <- slices;
   let rows =
     List.fold_left (fun acc tb -> acc + Table.cardinal tb) 0 tables
     + queue_rows queue
   in
-  (image, rows)
+  ((header :: List.map (fun s -> s.seg) slices) @ [ trailer ], rows)
 
 let decode s =
   let r = Codec.reader s in

@@ -64,19 +64,20 @@ val decode : string -> t
 (** {1 Incremental images}
 
     Between two checkpoints usually only a few tables change (the base
-    table the feed updates and the views maintained from it).  A [cache]
-    remembers where each table's encoding sits inside the previous image
-    together with the table's {!Strip_relational.Table.generation}, so
-    the next image re-encodes only tables that moved and copies the rest
-    as slices of the previous image.  The cache holds the previous image
-    itself — the same string the durable slot holds, not a copy. *)
+    table the feed updates and the views maintained from it).  An image
+    is built as a list of {!Strip_txn.Durable.segment}s: a header (time,
+    LSN, table count), one segment per table in catalog order, and a
+    trailer (views and queued transactions).  A [cache] remembers each
+    table's segment together with the table's
+    {!Strip_relational.Table.generation}, so the next image re-encodes
+    (and CRCs) only tables that moved and reuses the rest by reference. *)
 
 type cache
 
 val create_cache : unit -> cache
 
 val cached_tables : cache -> int
-(** Tables whose encoding the cache can reuse (0 for a fresh cache). *)
+(** Tables whose segment the cache can reuse (0 for a fresh cache). *)
 
 val encode_catalog :
   cache ->
@@ -85,7 +86,9 @@ val encode_catalog :
   reg:Unique.t ->
   now:float ->
   wal_lsn:int ->
-  string * int
-(** [(image, rows)] where [image] is byte-identical to
-    [encode (capture ~cat ~views ~reg ~now ~wal_lsn)] and [rows] equals
-    that snapshot's {!total_rows}.  Updates the cache to the new image. *)
+  Durable.segment list * int
+(** [(segments, rows)] where the concatenation of [segments] is
+    byte-identical to [encode (capture ~cat ~views ~reg ~now ~wal_lsn)]
+    and [rows] equals that snapshot's {!total_rows}.  The segment of a
+    table whose identity and generation are unchanged since the previous
+    call is physically the previous call's.  Updates the cache. *)

@@ -51,9 +51,9 @@ type t = {
   (* Cross-shard partial deltas (lib/shard).  [emit_partial] buffers a
      weighted contribution to a composite row owned by another shard while
      the action transaction runs; at commit the buffer is stamped with
-     monotone ship sequence numbers, logged as [Wal.Shard_out] records in
-     the same append batch as the commit (atomicity), and handed to the
-     sink after the fsync.  All three stay empty outside sharded runs, so
+     ship sequence numbers, contiguous per destination shard from 0,
+     logged as [Wal.Shard_out] records in the same append batch as the
+     commit (atomicity), and handed to the sink after the fsync.  All three stay empty outside sharded runs, so
      single-primary behavior is byte-identical. *)
   mutable partial_sink :
     (seq:int ->
@@ -66,7 +66,7 @@ type t = {
     option;
   mutable partial_buf : (int * Value.t list * float) list;  (* reversed *)
   mutable release_buf : Value.t list list;  (* reversed *)
-  mutable partial_seq : int;
+  partial_next : (int, int) Hashtbl.t;  (* dst -> next sequence number *)
   mutable release_sink : (key:Value.t list -> unit) option;
 }
 
@@ -92,7 +92,7 @@ let create ~cat ~locks ~clock ?fault ?durable ?trace ?provenance () =
     partial_sink = None;
     partial_buf = [];
     release_buf = [];
-    partial_seq = 0;
+    partial_next = Hashtbl.create 8;
     release_sink = None;
   }
 
@@ -108,8 +108,15 @@ let clear_partials t =
   t.partial_buf <- [];
   t.release_buf <- []
 
-let partial_seq t = t.partial_seq
-let set_partial_seq t n = t.partial_seq <- n
+let partial_seq t = Hashtbl.fold (fun _ n acc -> acc + n) t.partial_next 0
+
+let partial_seqs t =
+  Hashtbl.fold (fun dst n acc -> (dst, n) :: acc) t.partial_next []
+  |> List.sort compare
+
+let set_partial_seqs t seqs =
+  Hashtbl.reset t.partial_next;
+  List.iter (fun (dst, n) -> Hashtbl.replace t.partial_next dst n) seqs
 
 let set_commit_hook t f = t.on_commit <- Some f
 
@@ -712,15 +719,19 @@ and commit_txn ?release t txn =
     | Some _ -> Wal.ops_of_tlog (Transaction.log txn)
   in
   Transaction.commit txn;
-  (* Stamp buffered cross-shard partials with ship sequence numbers in
-     emit order; their Shard_out records ride the commit's append batch
-     so the partial is durable iff the commit that produced it is. *)
+  (* Stamp buffered cross-shard partials with their stream's next
+     sequence number in emit order; their Shard_out records ride the
+     commit's append batch so the partial is durable iff the commit that
+     produced it is. *)
   let commit_time = Clock.now t.clock in
   let partials =
     List.map
       (fun (dst, key, delta) ->
-        t.partial_seq <- t.partial_seq + 1;
-        (t.partial_seq, dst, key, delta))
+        let seq =
+          Option.value (Hashtbl.find_opt t.partial_next dst) ~default:0
+        in
+        Hashtbl.replace t.partial_next dst (seq + 1);
+        (seq, dst, key, delta))
       (List.rev t.partial_buf)
   in
   let shard_releases = List.rev t.release_buf in

@@ -135,7 +135,8 @@ val log_shed :
     Hooks for the sharded write path ({!Strip_shard}).  A routed rule
     action whose composite target row lives on another shard calls
     {!emit_partial} instead of updating locally; the buffered partials
-    are stamped with monotone ship sequence numbers at commit, logged as
+    are stamped at commit with ship sequence numbers — one contiguous
+    stream per destination shard, numbered from 0 — logged as
     {!Strip_txn.Wal.Shard_out} records in the {e same append batch} as
     the commit (so a partial is durable exactly when the commit that
     produced it is), and handed to the registered sink after the fsync.
@@ -180,11 +181,17 @@ val clear_partials : t -> unit
 (** Drop buffered partials and releases (abort paths call this). *)
 
 val partial_seq : t -> int
-(** Highest ship sequence number stamped so far. *)
+(** Partials stamped so far, over every destination (the sum of
+    {!partial_seqs}). *)
 
-val set_partial_seq : t -> int -> unit
-(** Restore the ship sequence counter after crash recovery so re-shipped
-    and fresh partials never collide. *)
+val partial_seqs : t -> (int * int) list
+(** [(dst, next)] per destination shard, ascending by [dst]: [next] is
+    the sequence number the stream's next partial will get, which is
+    also how many it has carried. *)
+
+val set_partial_seqs : t -> (int * int) list -> unit
+(** Restore the per-destination counters after crash recovery so
+    re-shipped and fresh partials never collide. *)
 
 (** {1 Crash recovery} *)
 

@@ -107,6 +107,10 @@ let register_metrics reg ~stats ~mgr ~eng ~clk ~tracer ~fi ~dur ~slo ~prov =
         Durable.n_checkpoints d);
     Metrics.probe_int reg "checkpoint_bytes" (fun () ->
         Durable.last_checkpoint_bytes d);
+    Metrics.probe_int reg "checkpoint_encoded_bytes_total" (fun () ->
+        Durable.checkpoint_encoded_bytes d);
+    Metrics.probe_int reg "checkpoint_reused_bytes_total" (fun () ->
+        Durable.checkpoint_reused_bytes d);
     Metrics.probe_int reg "crashes_total" (fun () -> Stats.n_crashes stats);
     Metrics.probe_hist reg "crash_recovery_s" (fun () ->
         Stats.crash_recovery_hist stats);
@@ -456,7 +460,7 @@ let checkpoint t =
     if Wal.pending_bytes w > 0 then Wal.fsync w;
     let lsn = Wal.durable_end w in
     let taken_at = Clock.now t.clk in
-    let encoded, rows =
+    let segments, rows =
       Checkpoint.encode_catalog t.ckpt_cache ~cat:t.cat ~views:(view_sql t)
         ~reg:(Rule_manager.registry t.mgr) ~now:taken_at ~wal_lsn:lsn
     in
@@ -467,7 +471,7 @@ let checkpoint t =
     | None -> ()
     | Some fi -> Fault.fire fi ~site:Fault.Crash ~txid:0 ~detail:"checkpoint");
     let prev_lsn = Durable.snapshot_lsn d in
-    Durable.install_checkpoint d ~encoded ~lsn ~time:taken_at;
+    Durable.install_checkpoint d ~segments ~lsn ~time:taken_at;
     (* Truncate before appending the mark — the byte stream is identical
        (the mark's LSN was fixed above), and reclaiming first means a
        disk-full clamp cannot livelock checkpointing: by the time the

@@ -28,17 +28,28 @@ type callbacks = {
 
 type unacked = { p : Partial.t; mutable last_sent : float }
 
+(* The sender's window of unacknowledged partials, keyed by
+   (dst, seq): one run of ascending sequence numbers per outgoing
+   stream, so iteration visits each link's partials in ship order. *)
+module Window = Map.Make (struct
+  type t = int * int
+
+  let compare (d1, s1) (d2, s2) =
+    match Int.compare d1 d2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
 type shard = {
   sid : int;
   mutable db : Strip_db.t;
   dq : Dqueue.t;
-  mutable unacked : unacked list;  (* ship order *)
+  mutable window : unacked Window.t;
   mutable outbox : Partial.t list;  (* reversed *)
   mutable acks : (int * int) list;  (* reversed; (emitter, seq) *)
   mutable prior : Strip_db.t list;  (* crashed incarnations, newest first *)
   mutable crashes : int;
   mutable recovery_s : float;
   mutable last_cp : float;
+  mutable state_max : int;  (* largest Shard_state record appended, bytes *)
 }
 
 type t = {
@@ -70,6 +81,11 @@ let install_sinks sh =
 (* ------------------------------------------------------------------ *)
 (* Durable protocol state.                                              *)
 
+let entry_of (u : unacked) =
+  let p = u.p in
+  (p.Partial.seq, p.Partial.dst, p.Partial.key, p.Partial.delta,
+   p.Partial.created_at)
+
 let append_state sh =
   match Strip_db.durable sh.db with
   | None -> ()
@@ -78,64 +94,74 @@ let append_state sh =
     let state =
       Wal.Shard_state
         {
-          next_seq = Rule_manager.partial_seq (Strip_db.rules sh.db);
-          seen = Dqueue.seen_list sh.dq;
+          next_seq = Rule_manager.partial_seqs (Strip_db.rules sh.db);
+          seen = Dqueue.seen_state sh.dq;
           pending = Dqueue.pending_list sh.dq;
           unacked =
-            List.map
-              (fun u ->
-                ( u.p.Partial.seq,
-                  u.p.Partial.dst,
-                  u.p.Partial.key,
-                  u.p.Partial.delta,
-                  u.p.Partial.created_at ))
-              sh.unacked;
+            Window.fold (fun _ u acc -> entry_of u :: acc) sh.window []
+            |> List.rev;
         }
     in
-    ignore (Wal.append_batch w [ state ]);
+    let lsn = Wal.append w state in
+    sh.state_max <- max sh.state_max (Wal.end_lsn w - lsn);
     Wal.fsync w
 
+(* Per-incarnation registry rows; the values live on the shard record,
+   so they span crashes. *)
+let register_metrics sh =
+  let reg = Strip_db.metrics sh.db in
+  Strip_obs.Metrics.probe_int reg "shard_dedup_out_of_order_max" (fun () ->
+      Dqueue.max_out_of_order sh.dq);
+  Strip_obs.Metrics.probe_int reg "shard_state_bytes_max" (fun () ->
+      sh.state_max)
+
 type proto_state = {
-  mutable s_next_seq : int;
-  mutable s_seen : (int * int) list;
-  mutable s_pending : (Value.t list * float * float) list;
-  mutable s_unacked : (int * int * Value.t list * float * float) list;
+  next_seq : (int * int) list;
+  queue : Dqueue.t;
+  unacked : (int * int * Value.t list * float * float) list;
 }
 
-(* Rebuild the cross-shard protocol state from the shard's own log.  Must
+(* Rebuild the cross-shard protocol state from the shard's own log, in
+   one pass: the last [Shard_state] is the baseline and every later
+   record is replayed on top of it with the live data structures.  Must
    run BEFORE Recovery.recover: recovery ends with a checkpoint that
    truncates the log these records live in. *)
 let scan_state dur =
   let rd = Wal.read (Durable.wal dur) in
-  let st =
-    { s_next_seq = 0; s_seen = []; s_pending = []; s_unacked = [] }
+  let next_seq = Hashtbl.create 8 and queue = Dqueue.create () in
+  let unacked = ref Window.empty in
+  let bump dst next =
+    match Hashtbl.find_opt next_seq dst with
+    | Some n when n >= next -> ()
+    | _ -> Hashtbl.replace next_seq dst next
+  in
+  let ship ((seq, dst, _, _, _) as e) =
+    unacked := Window.add (dst, seq) e !unacked
   in
   List.iter
     (fun (_lsn, r) ->
       match r with
-      | Wal.Shard_state { next_seq; seen; pending; unacked } ->
-        st.s_next_seq <- next_seq;
-        st.s_seen <- seen;
-        st.s_pending <- pending;
-        st.s_unacked <- unacked
+      | Wal.Shard_state { next_seq = nexts; seen; pending; unacked = ships } ->
+        Hashtbl.reset next_seq;
+        List.iter (fun (dst, next) -> bump dst next) nexts;
+        Dqueue.restore queue ~seen ~pending;
+        unacked := Window.empty;
+        List.iter ship ships
       | Wal.Shard_out { seq; dst; key; delta; created_at } ->
-        st.s_next_seq <- max st.s_next_seq seq;
-        st.s_unacked <- st.s_unacked @ [ (seq, dst, key, delta, created_at) ]
+        bump dst (seq + 1);
+        ship (seq, dst, key, delta, created_at)
       | Wal.Shard_in { src; seq; key; delta; created_at } ->
-        if not (List.mem (src, seq) st.s_seen) then begin
-          st.s_seen <- st.s_seen @ [ (src, seq) ];
-          let rec merge = function
-            | [] -> [ (key, delta, created_at) ]
-            | (k, d, c) :: tl when k = key -> (k, d +. delta, c) :: tl
-            | hd :: tl -> hd :: merge tl
-          in
-          st.s_pending <- merge st.s_pending
-        end
-      | Wal.Shard_release { key } ->
-        st.s_pending <- List.filter (fun (k, _, _) -> k <> key) st.s_pending
+        ignore (Dqueue.offer queue ~src ~seq ~key ~delta ~created_at)
+      | Wal.Shard_release { key } -> Dqueue.remove queue ~key
       | _ -> ())
     rd.Wal.records;
-  st
+  {
+    next_seq =
+      Hashtbl.fold (fun d n acc -> (d, n) :: acc) next_seq []
+      |> List.sort compare;
+    queue;
+    unacked = List.rev (Window.fold (fun _ e acc -> e :: acc) !unacked []);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Shipping.                                                            *)
@@ -200,29 +226,23 @@ let handle_crash t sh =
   sh.db <- ndb;
   sh.recovery_s <- sh.recovery_s +. rec_s;
   install_sinks sh;
-  Rule_manager.set_partial_seq (Strip_db.rules ndb) st.s_next_seq;
-  Dqueue.restore sh.dq ~seen:st.s_seen ~pending:st.s_pending;
+  register_metrics sh;
+  Rule_manager.set_partial_seqs (Strip_db.rules ndb) st.next_seq;
+  Dqueue.restore sh.dq
+    ~seen:(Dqueue.seen_state st.queue)
+    ~pending:(Dqueue.pending_list st.queue);
   sh.outbox <- [];
   sh.acks <- [];
   (* Everything logged but unacknowledged re-ships immediately; the
      owners' (src, seq) dedup collapses any double delivery. *)
-  sh.unacked <-
-    List.map
-      (fun (seq, dst, key, delta, created_at) ->
-        {
-          p =
-            {
-              Partial.src = sh.sid;
-              seq;
-              dst;
-              key;
-              delta;
-              created_at;
-              ctx = None;
-            };
-          last_sent = neg_infinity;
-        })
-      st.s_unacked;
+  sh.window <-
+    List.fold_left
+      (fun w (seq, dst, key, delta, created_at) ->
+        let p =
+          { Partial.src = sh.sid; seq; dst; key; delta; created_at; ctx = None }
+        in
+        Window.add (dst, seq) { p; last_sent = neg_infinity } w)
+      Window.empty st.unacked;
   List.iter
     (fun key -> submit_apply t sh ~key ~ctx:None)
     (Dqueue.pending_keys sh.dq);
@@ -242,13 +262,15 @@ let rec run_guarded t sh ~until =
 (* ------------------------------------------------------------------ *)
 (* Receive side.                                                        *)
 
-let receive t sh (m : Link.message) =
+(* [from] is the shard the message's link comes from: an ack retires
+   the partial it names on the stream to that shard. *)
+let receive t sh ~from (m : Link.message) =
   match m.Link.payload with
   | Link.Segment _ | Link.Bootstrap _ -> ()  (* not shard-layer traffic *)
   | Link.Blob bytes -> (
     match Partial.decode bytes with
     | Partial.Ack { src = _; seq } ->
-      sh.unacked <- List.filter (fun u -> u.p.Partial.seq <> seq) sh.unacked
+      sh.window <- Window.remove (from, seq) sh.window
     | Partial.Partial p ->
       let verdict =
         Dqueue.offer sh.dq ~src:p.Partial.src ~seq:p.Partial.seq
@@ -313,7 +335,9 @@ let step t ~now =
         (fun p ->
           send_msg t ~src:sh.sid ~dst:p.Partial.dst ~now (Partial.Partial p);
           t.partials <- t.partials + 1;
-          sh.unacked <- sh.unacked @ [ { p; last_sent = now } ])
+          sh.window <-
+            Window.add (p.Partial.dst, p.Partial.seq) { p; last_sent = now }
+              sh.window)
         (List.rev sh.outbox);
       sh.outbox <- [];
       List.iter
@@ -324,18 +348,19 @@ let step t ~now =
         (List.rev sh.acks);
       sh.acks <- [])
     t.shards;
-  (* 3: resend stale unacked partials (drops and crashed receivers) *)
+  (* 3: resend stale unacked partials (drops and crashed receivers);
+     each link sees them in ship order *)
   Array.iter
     (fun sh ->
-      List.iter
-        (fun u ->
+      Window.iter
+        (fun _ u ->
           if now -. u.last_sent >= t.cfg.resend_after then begin
             send_msg t ~src:sh.sid ~dst:u.p.Partial.dst ~now
               (Partial.Partial u.p);
             t.n_reships <- t.n_reships + 1;
             u.last_sent <- now
           end)
-        sh.unacked)
+        sh.window)
     t.shards;
   (* 4: deliver — drain every link, then process in a total order
      ((arrives_at, source shard, link seq)) so hashtable iteration and
@@ -368,13 +393,13 @@ let step t ~now =
         | c -> c)
       (List.rev !arrived)
   in
-  List.iter (fun (m, _src, dst) -> receive t t.shards.(dst) m) arrived
+  List.iter (fun (m, src, dst) -> receive t t.shards.(dst) ~from:src m) arrived
 
 let quiescent t =
   Array.for_all
     (fun sh ->
       Strip_sim.Engine.pending (Strip_db.engine sh.db) = 0
-      && sh.outbox = [] && sh.acks = [] && sh.unacked = []
+      && sh.outbox = [] && sh.acks = [] && Window.is_empty sh.window
       && Dqueue.n_pending sh.dq = 0)
     t.shards
   && Array.for_all
@@ -410,13 +435,14 @@ let create ~cfg ~cb dbs =
           sid;
           db;
           dq = Dqueue.create ();
-          unacked = [];
+          window = Window.empty;
           outbox = [];
           acks = [];
           prior = [];
           crashes = 0;
           recovery_s = 0.0;
           last_cp = 0.0;
+          state_max = 0;
         })
       dbs
   in
@@ -438,7 +464,11 @@ let create ~cfg ~cb dbs =
       n_reships = 0;
     }
   in
-  Array.iter install_sinks shards;
+  Array.iter
+    (fun sh ->
+      install_sinks sh;
+      register_metrics sh)
+    shards;
   t
 
 let checkpoint_all t =

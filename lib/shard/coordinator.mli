@@ -7,13 +7,14 @@
 
     A routed rule action on the emitting shard computes its {e local}
     weighted contribution to a remote composite and calls
-    {!Strip_core.Rule_manager.emit_partial}; the partial is stamped with
-    a monotone ship sequence number at commit, logged as a
-    [Wal.Shard_out] in the same append batch as the commit, and handed
-    to this coordinator's outbox after the fsync.  The coordinator ships
-    it over the shard-to-shard {!Strip_repl.Link} on the next tick and
-    keeps it on an unacked list, resending every [resend_after] seconds
-    until the owner's ack arrives.
+    {!Strip_core.Rule_manager.emit_partial}; the partial is stamped at
+    commit with the next sequence number of its (src→dst) stream,
+    logged as a [Wal.Shard_out] in the same append batch as the commit,
+    and handed to this coordinator's outbox after the fsync.  The
+    coordinator ships it over the shard-to-shard {!Strip_repl.Link} on
+    the next tick and keeps it in an unacked window keyed by
+    [(dst, seq)], resending every [resend_after] seconds until the
+    owner's ack — matched on the link it arrives from — retires it.
 
     The owner dedups each arrival by [(src, seq)] ({!Dqueue}), logs a
     [Wal.Shard_in] for every novel one, merges same-key deltas, and —
@@ -42,9 +43,10 @@
     [Shard_out] tail is durable only in the primary's log, so promoting
     a replica that never saw those bytes could silently lose committed
     partials.  Recovery scans the log {e before}
-    {!Strip_core.Recovery.recover} truncates it (rebuilding the dedup
-    set, pending merges, unacked ships and the sequence counter from
-    [Shard_state] + subsequent records), re-ships everything
+    {!Strip_core.Recovery.recover} truncates it ({!scan_state} rebuilds
+    the dedup set, pending merges, unacked ships and the per-stream
+    sequence counters from [Shard_state] + subsequent records), re-ships
+    everything
     unacknowledged, resubmits an apply task per pending key, and
     appends a fresh [Shard_state] past the recovery checkpoint's
     truncation point. *)
@@ -99,6 +101,25 @@ val run : t -> until:float -> unit
 (** Tick every [ship_every] up to [until], then keep ticking until the
     system is quiescent: all engines drained, no partial unshipped,
     unacked or unapplied, no message in flight. *)
+
+(** {1 Protocol state} *)
+
+type proto_state = {
+  next_seq : (int * int) list;
+      (** [(dst, next)] per outgoing stream, ascending by [dst] *)
+  queue : Dqueue.t;
+      (** a fresh queue holding the dedup set and pending merges *)
+  unacked : (int * int * Strip_relational.Value.t list * float * float) list;
+      (** logged, unacknowledged ships [(seq, dst, key, delta, created_at)],
+          ascending by [(dst, seq)] *)
+}
+
+val scan_state : Strip_txn.Durable.t -> proto_state
+(** Rebuild a shard's protocol state from its own log in one pass: the
+    last [Shard_state] record is the baseline and every later
+    [Shard_out], [Shard_in] and [Shard_release] is replayed on top of
+    it.  Crash recovery runs this before {!Strip_core.Recovery.recover}
+    truncates the log. *)
 
 (** {1 Inspection} *)
 

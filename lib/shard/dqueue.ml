@@ -1,10 +1,16 @@
 type entry = { mutable delta : float; created_at : float }
 
+(* One source's stream of merged receipts: every [seq < hwm] has been
+   merged, and [ooo] holds the merged ones above it (arrivals that
+   overtook a dropped or delayed predecessor). *)
+type stream = { mutable hwm : int; ooo : (int, unit) Hashtbl.t }
+
 type t = {
-  seen : (int * int, unit) Hashtbl.t;
+  streams : (int, stream) Hashtbl.t;  (* by source shard *)
   pending : (Strip_relational.Value.t list, entry) Hashtbl.t;
   mutable order : Strip_relational.Value.t list list;
       (* first-arrival order, reversed *)
+  mutable ooo_max : int;
   mutable offered : int;
   mutable dups : int;
   mutable merged : int;
@@ -16,9 +22,10 @@ type verdict = Duplicate | Merged | Fresh
 
 let create () =
   {
-    seen = Hashtbl.create 64;
+    streams = Hashtbl.create 8;
     pending = Hashtbl.create 16;
     order = [];
+    ooo_max = 0;
     offered = 0;
     dups = 0;
     merged = 0;
@@ -26,14 +33,39 @@ let create () =
     applied = 0;
   }
 
+let stream t src =
+  match Hashtbl.find_opt t.streams src with
+  | Some s -> s
+  | None ->
+    let s = { hwm = 0; ooo = Hashtbl.create 8 } in
+    Hashtbl.replace t.streams src s;
+    s
+
+(* Record [seq] as merged; false if it already was. *)
+let admit t s seq =
+  if seq < s.hwm || Hashtbl.mem s.ooo seq then false
+  else begin
+    if seq = s.hwm then begin
+      s.hwm <- seq + 1;
+      while Hashtbl.mem s.ooo s.hwm do
+        Hashtbl.remove s.ooo s.hwm;
+        s.hwm <- s.hwm + 1
+      done
+    end
+    else begin
+      Hashtbl.replace s.ooo seq ();
+      t.ooo_max <- max t.ooo_max (Hashtbl.length s.ooo)
+    end;
+    true
+  end
+
 let offer t ~src ~seq ~key ~delta ~created_at =
   t.offered <- t.offered + 1;
-  if Hashtbl.mem t.seen (src, seq) then begin
+  if not (admit t (stream t src) seq) then begin
     t.dups <- t.dups + 1;
     Duplicate
   end
-  else begin
-    Hashtbl.replace t.seen (src, seq) ();
+  else
     match Hashtbl.find_opt t.pending key with
     | Some e ->
       e.delta <- e.delta +. delta;
@@ -44,7 +76,6 @@ let offer t ~src ~seq ~key ~delta ~created_at =
       t.order <- key :: t.order;
       t.fresh <- t.fresh + 1;
       Fresh
-  end
 
 let peek t ~key =
   match Hashtbl.find_opt t.pending key with
@@ -61,8 +92,15 @@ let remove t ~key =
 let pending_keys t = List.rev t.order
 let n_pending t = Hashtbl.length t.pending
 
-let seen_list t =
-  Hashtbl.fold (fun id () acc -> id :: acc) t.seen [] |> List.sort compare
+let seen_state t =
+  Hashtbl.fold
+    (fun src s acc ->
+      let ooo = Hashtbl.fold (fun seq () acc -> seq :: acc) s.ooo [] in
+      (src, s.hwm, List.sort Int.compare ooo) :: acc)
+    t.streams []
+  |> List.sort compare
+
+let max_out_of_order t = t.ooo_max
 
 let pending_list t =
   List.map
@@ -72,10 +110,15 @@ let pending_list t =
     (pending_keys t)
 
 let restore t ~seen ~pending =
-  Hashtbl.reset t.seen;
+  Hashtbl.reset t.streams;
   Hashtbl.reset t.pending;
   t.order <- [];
-  List.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
+  List.iter
+    (fun (src, hwm, ooo) ->
+      let s = stream t src in
+      s.hwm <- hwm;
+      List.iter (fun seq -> ignore (admit t s seq)) ooo)
+    seen;
   List.iter
     (fun (key, delta, created_at) ->
       Hashtbl.replace t.pending key { delta; created_at };

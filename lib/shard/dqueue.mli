@@ -6,9 +6,14 @@
     from many shards into one pending entry, and fires the maintenance
     action once per key rather than once per arrival.
 
-    Idempotence: every arrival is first checked against the set of
+    Idempotence: every arrival is first checked against the
     [(src, seq)] identities already merged — a resent or duplicated
-    partial is a {!verdict.Duplicate} and changes nothing.  Merging is
+    partial is a {!verdict.Duplicate} and changes nothing.  Each source
+    numbers its partials to this owner contiguously from 0, so the set
+    is kept per source as a high-water mark (every [seq] below it is
+    merged) plus the few merged ones above it that overtook a dropped
+    or delayed predecessor.  Its size tracks the partials in flight, not
+    the length of the run.  Merging is
     commutative addition (DBSP linearity of the composite rules), so
     arrival order across shards cannot change the merged total, and the
     entry keeps its {e first} arrival's [created_at] so latency
@@ -50,16 +55,22 @@ val pending_keys : t -> Strip_relational.Value.t list list
 
 val n_pending : t -> int
 
-val seen_list : t -> (int * int) list
-(** Merged [(src, seq)] identities, ascending — the dedup set, exported
-    into [Shard_state] snapshots. *)
+val seen_state : t -> (int * int * int list) list
+(** The dedup set as [(src, hwm, out_of_order)] per source, ascending by
+    [src]: every [seq < hwm] and each [seq] in [out_of_order] (ascending,
+    all above [hwm]) has been merged.  Exported into [Shard_state]
+    snapshots. *)
+
+val max_out_of_order : t -> int
+(** The most merged identities any one source has had above its
+    high-water mark at once, since creation. *)
 
 val pending_list : t -> (Strip_relational.Value.t list * float * float) list
 (** Pending [(key, delta, created_at)] entries, first-arrival order. *)
 
 val restore :
   t ->
-  seen:(int * int) list ->
+  seen:(int * int * int list) list ->
   pending:(Strip_relational.Value.t list * float * float) list ->
   unit
 (** Replace the queue's state wholesale (crash recovery). *)

@@ -1,8 +1,17 @@
 (* Stable storage: WAL + retained checkpoint slots + media-fault ledger. *)
 
+type segment = {
+  bytes : string;
+  crc : int;  (* CRC32 of [bytes], computed once, when it was encoded *)
+  mutable installed : bool;  (* already part of an installed slot *)
+}
+
+let segment bytes = { bytes; crc = Codec.crc32 bytes; installed = false }
+let segment_bytes s = s.bytes
+
 type slot = {
-  s_image : string;
-  s_crc : int;  (* CRC32 of [s_image], computed at install time *)
+  s_segs : segment list;  (* the image is their concatenation *)
+  s_bytes : int;
   s_lsn : int;
   s_time : float;
 }
@@ -33,6 +42,8 @@ type t = {
   mutable media_armed : bool;
   mutable ledger : media_fault list;  (* newest first *)
   mutable hold : (unit -> int) option;  (* lowest LSN a replica still needs *)
+  mutable encoded_bytes : int;  (* image bytes installed fresh *)
+  mutable reused_bytes : int;  (* image bytes carried over from a slot *)
 }
 
 let create ?wal ?(retain = 1) () =
@@ -44,11 +55,18 @@ let create ?wal ?(retain = 1) () =
     media_armed = false;
     ledger = [];
     hold = None;
+    encoded_bytes = 0;
+    reused_bytes = 0;
   }
 
 let wal t = t.wal
 let retain t = t.retain
-let snapshot t = match t.slots with [] -> None | s :: _ -> Some s.s_image
+let image s =
+  match s.s_segs with
+  | [ seg ] -> seg.bytes
+  | segs -> String.concat "" (List.map (fun seg -> seg.bytes) segs)
+
+let snapshot t = match t.slots with [] -> None | s :: _ -> Some (image s)
 let snapshot_lsn t = match t.slots with [] -> 0 | s :: _ -> s.s_lsn
 let snapshot_time t = match t.slots with [] -> 0.0 | s :: _ -> s.s_time
 let n_checkpoints t = t.checkpoints
@@ -58,17 +76,31 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let install_checkpoint t ~encoded ~lsn ~time =
-  let s =
-    { s_image = encoded; s_crc = Codec.crc32 encoded; s_lsn = lsn; s_time = time }
+let install_checkpoint t ~segments ~lsn ~time =
+  let bytes =
+    List.fold_left
+      (fun acc seg ->
+        let n = String.length seg.bytes in
+        if seg.installed then t.reused_bytes <- t.reused_bytes + n
+        else begin
+          seg.installed <- true;
+          t.encoded_bytes <- t.encoded_bytes + n
+        end;
+        acc + n)
+      0 segments
   in
+  let s = { s_segs = segments; s_bytes = bytes; s_lsn = lsn; s_time = time } in
   t.slots <- take t.retain (s :: t.slots);
   t.checkpoints <- t.checkpoints + 1
 
 let last_checkpoint_bytes t =
-  match t.slots with [] -> 0 | s :: _ -> String.length s.s_image
+  match t.slots with [] -> 0 | s :: _ -> s.s_bytes
 
-let slot_valid s = Codec.crc32 s.s_image = s.s_crc
+let checkpoint_encoded_bytes t = t.encoded_bytes
+let checkpoint_reused_bytes t = t.reused_bytes
+
+let slot_valid s =
+  List.for_all (fun seg -> Codec.crc32 seg.bytes = seg.crc) s.s_segs
 
 let verified_slot t =
   (* a usable slot must pass its CRC *and* still have its redo tail: a
@@ -79,7 +111,7 @@ let verified_slot t =
     | [] -> None
     | s :: rest ->
       if slot_valid s && s.s_lsn >= base then
-        Some (s.s_image, s.s_lsn, s.s_time, skipped)
+        Some (image s, s.s_lsn, s.s_time, skipped)
       else go (skipped + 1) rest
   in
   go 0 t.slots
@@ -154,15 +186,27 @@ let flip_snapshot_byte t ~frac =
   match t.slots with
   | [] -> false
   | s :: rest ->
-    let n = String.length s.s_image in
+    let n = s.s_bytes in
     if n = 0 then false
     else begin
       let off = min (int_of_float (frac *. float_of_int n)) (n - 1) in
-      let b = Bytes.of_string s.s_image in
-      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xff));
-      (* the stored CRC is kept: it was computed over the clean image,
-         so verification now fails — that is the point *)
-      t.slots <- { s with s_image = Bytes.to_string b } :: rest;
+      (* Rot a copy of the segment holding [off]: the original string may
+         be shared with an older slot and with the encoder's cache, which
+         must stay clean.  The stored CRC is kept — it was computed over
+         the clean bytes, so verification now fails, which is the point. *)
+      let rec rot start = function
+        | [] -> []
+        | seg :: segs ->
+          let len = String.length seg.bytes in
+          if off >= start + len then seg :: rot (start + len) segs
+          else begin
+            let b = Bytes.of_string seg.bytes in
+            let i = off - start in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
+            { seg with bytes = Bytes.to_string b } :: segs
+          end
+      in
+      t.slots <- { s with s_segs = rot 0 s.s_segs } :: rest;
       note_injected t ~kind:Bitrot_checkpoint ~lsn:s.s_lsn ~len:1;
       true
     end

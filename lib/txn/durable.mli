@@ -5,13 +5,17 @@
     engine, catalog, queues and every other in-memory structure are
     discarded and rebuilt from it by [Strip_core.Recovery].
 
-    Checkpoint installation is atomic: the encoded snapshot is published
-    with a CRC computed at install time, so later verification
-    ({!verified_slot}, {!scrub_slots}) can tell a rotted image from a
-    clean one.  Up to [retain] slots are kept, newest first; with
-    [retain >= 2] recovery can fall back to the previous slot when the
-    newest image fails its CRC, provided the log is truncated no further
-    than {!truncation_floor}.
+    Checkpoint installation is atomic.  A slot's image is a list of
+    {!segment}s — the checkpoint encoder makes one per table plus a
+    header and a trailer — each carrying a CRC computed once, when the
+    segment was encoded.  A segment carried over unchanged from the
+    previous image is shared by reference, CRC included, so a checkpoint
+    pays only for the segments that changed.  Verification
+    ({!verified_slot}, {!scrub_slots}) checks every segment against its
+    CRC, so it can tell a rotted image from a clean one.  Up to [retain]
+    slots are kept, newest first; with [retain >= 2] recovery can fall
+    back to the previous slot when the newest image fails verification,
+    provided the log is truncated no further than {!truncation_floor}.
 
     The media-fault ledger records every injected at-rest fault (bit rot
     in WAL bytes or checkpoint images, lying fsyncs) and tracks it from
@@ -30,9 +34,21 @@ val create : ?wal:Wal.t -> ?retain:int -> unit -> t
 val wal : t -> Wal.t
 val retain : t -> int
 
+(** {1 Checkpoint slots} *)
+
+type segment
+(** A piece of a checkpoint image: its bytes and their CRC-32. *)
+
+val segment : string -> segment
+(** Wrap freshly encoded bytes, computing their CRC (the only time it is
+    computed for these bytes). *)
+
+val segment_bytes : segment -> string
+
 val snapshot : t -> string option
 (** Latest installed checkpoint image (encoded), if any — unverified;
-    media-aware callers use {!verified_slot}. *)
+    media-aware callers use {!verified_slot}.  The segments are
+    concatenated on demand. *)
 
 val snapshot_lsn : t -> int
 (** WAL position the latest snapshot is consistent up to; redo starts
@@ -42,15 +58,23 @@ val snapshot_time : t -> float
 val n_checkpoints : t -> int
 val last_checkpoint_bytes : t -> int
 
-val install_checkpoint : t -> encoded:string -> lsn:int -> time:float -> unit
-(** Atomically publish a new checkpoint image (with its CRC), rotating
-    out the oldest slot beyond [retain]. *)
+val install_checkpoint :
+  t -> segments:segment list -> lsn:int -> time:float -> unit
+(** Atomically publish a new checkpoint image made of [segments] (in
+    image order), rotating out the oldest slot beyond [retain].  A
+    segment already part of an earlier installed slot counts as reused
+    bytes, any other as encoded bytes. *)
+
+val checkpoint_encoded_bytes : t -> int
+(** Image bytes installed as new segments, summed over all checkpoints. *)
+
+val checkpoint_reused_bytes : t -> int
+(** Image bytes installed as segments shared with an earlier slot. *)
 
 val verified_slot : t -> (string * int * float * int) option
-(** [(image, lsn, time, skipped)] for the newest slot whose image still
-    matches its install-time CRC; [skipped] counts newer slots that
-    failed verification and were passed over.  [None] if no slot
-    verifies. *)
+(** [(image, lsn, time, skipped)] for the newest slot whose every segment
+    still matches its CRC; [skipped] counts newer slots that failed
+    verification and were passed over.  [None] if no slot verifies. *)
 
 val truncation_floor : t -> int
 (** LSN of the oldest retained slot — the log must not be truncated past
@@ -68,10 +92,10 @@ val truncation_hold : t -> int option
 (** The hold's current value; [None] when no hold is set. *)
 
 val slots_valid : t -> bool
-(** All retained slots pass their CRC. *)
+(** Every segment of every retained slot passes its CRC. *)
 
 val scrub_slots : t -> int
-(** Drop every slot whose image fails its CRC (marking matching ledger
+(** Drop every slot with a segment that fails its CRC (marking matching ledger
     faults [Detected]); returns how many were dropped.  The caller is
     expected to take a fresh checkpoint when the count is nonzero. *)
 
@@ -97,7 +121,10 @@ val note_injected : t -> kind:fault_kind -> lsn:int -> len:int -> unit
 val flip_snapshot_byte : t -> frac:float -> bool
 (** Bit-rot the newest checkpoint image at relative offset [frac]
     (0..1), recording the injection; the stored CRC is left alone so
-    verification fails.  Returns false if there is no image to rot. *)
+    verification fails.  The slot gets a rotted copy of the segment
+    holding that byte, so a string shared with older slots or with the
+    encoder's cache stays clean.  Returns false if there is no image to
+    rot. *)
 
 val note_wal_detected : t -> lsn:int -> len:int -> unit
 val note_wal_repaired : t -> lsn:int -> len:int -> unit

@@ -66,15 +66,17 @@ type record =
       (* the owning shard applied the merged partials for [key]; rides the
          applying commit's batch so apply+release are atomic *)
   | Shard_state of {
-      next_seq : int;
-      seen : (int * int) list;  (* (src, seq) receipts already merged *)
+      next_seq : (int * int) list;  (* (dst, next seq) per outgoing stream *)
+      seen : (int * int * int list) list;
+          (* receipts already merged, per source stream: (src, hwm,
+             out-of-order seqs) — every seq below hwm, plus the listed *)
       pending : (Value.t list * float * float) list;
           (* unapplied merged partials: key, summed delta, first created_at *)
       unacked : (int * int * Value.t list * float * float) list;
-          (* in-flight ships: dst, seq, key, delta, created_at *)
+          (* in-flight ships: seq, dst, key, delta, created_at *)
     }
-      (* snapshot of the shard protocol state, re-appended after recovery's
-         checkpoint truncates the log so a second crash still recovers *)
+      (* snapshot of the shard protocol state, re-appended after every
+         checkpoint truncates the log so a crash still recovers *)
 
 let op_table = function
   | Insert { table; _ } | Delete { table; _ } | Update { table; _ } -> table
@@ -225,11 +227,16 @@ let encode_record_into b rec_ =
     Codec.put_list b Codec.put_value key
   | Shard_state { next_seq; seen; pending; unacked } ->
     Codec.put_u8 b 9;
-    Codec.put_int b next_seq;
     Codec.put_list b
-      (fun b (src, seq) ->
+      (fun b (dst, next) ->
+        Codec.put_int b dst;
+        Codec.put_int b next)
+      next_seq;
+    Codec.put_list b
+      (fun b (src, hwm, ooo) ->
         Codec.put_int b src;
-        Codec.put_int b seq)
+        Codec.put_int b hwm;
+        Codec.put_list b Codec.put_int ooo)
       seen;
     Codec.put_list b
       (fun b (key, delta, created_at) ->
@@ -238,9 +245,9 @@ let encode_record_into b rec_ =
         Codec.put_float b created_at)
       pending;
     Codec.put_list b
-      (fun b (dst, seq, key, delta, created_at) ->
-        Codec.put_int b dst;
+      (fun b (seq, dst, key, delta, created_at) ->
         Codec.put_int b seq;
+        Codec.put_int b dst;
         Codec.put_list b Codec.put_value key;
         Codec.put_float b delta;
         Codec.put_float b created_at)
@@ -307,12 +314,18 @@ let decode_record r =
       let key = Codec.get_list r Codec.get_value in
       Shard_release { key }
     | 9 ->
-      let next_seq = Codec.get_int r in
+      let next_seq =
+        Codec.get_list r (fun r ->
+            let dst = Codec.get_int r in
+            let next = Codec.get_int r in
+            (dst, next))
+      in
       let seen =
         Codec.get_list r (fun r ->
             let src = Codec.get_int r in
-            let seq = Codec.get_int r in
-            (src, seq))
+            let hwm = Codec.get_int r in
+            let ooo = Codec.get_list r Codec.get_int in
+            (src, hwm, ooo))
       in
       let pending =
         Codec.get_list r (fun r ->
@@ -323,12 +336,12 @@ let decode_record r =
       in
       let unacked =
         Codec.get_list r (fun r ->
-            let dst = Codec.get_int r in
             let seq = Codec.get_int r in
+            let dst = Codec.get_int r in
             let key = Codec.get_list r Codec.get_value in
             let delta = Codec.get_float r in
             let created_at = Codec.get_float r in
-            (dst, seq, key, delta, created_at))
+            (seq, dst, key, delta, created_at))
       in
       Shard_state { next_seq; seen; pending; unacked }
     | tag -> raise (Codec.Decode_error (Printf.sprintf "record tag %d" tag))

@@ -78,15 +78,20 @@ type record =
           applying commit's append batch so apply and release share one
           fsync *)
   | Shard_state of {
-      next_seq : int;
-      seen : (int * int) list;
+      next_seq : (int * int) list;
+      seen : (int * int * int list) list;
       pending : (Value.t list * float * float) list;
       unacked : (int * int * Value.t list * float * float) list;
     }
-      (** snapshot of a shard's cross-shard protocol state ([next_seq],
-          merged receipts, unapplied per-key deltas, in-flight ships),
-          re-appended after recovery because the recovery checkpoint
-          truncates the log the individual records lived in *)
+      (** snapshot of a shard's cross-shard protocol state, re-appended
+          after every checkpoint because truncation drops the log the
+          individual records lived in.  [next_seq] is [(dst, next)] per
+          outgoing stream; [seen] is the merged receipts per source
+          stream as [(src, hwm, out_of_order)] — every [seq < hwm] plus
+          the listed ones above it — so its size tracks the partials in
+          flight, not the run length; [pending] is the unapplied per-key
+          deltas and [unacked] the in-flight ships
+          [(seq, dst, key, delta, created_at)] *)
 
 val op_table : op -> string
 val op_order : op -> int

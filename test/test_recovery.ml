@@ -362,6 +362,7 @@ let test_incremental_image_property () =
     Strip_db.exec_script db
       "create table churn (k int, v float); insert into churn values (1, 1.0)";
     let cache = Checkpoint.create_cache () in
+    let prev_tables = ref [] and shared = ref 0 in
     let n_index = ref 0 and now = ref 0.0 in
     for step = 1 to 40 do
       let k = Random.State.int rng 6 in
@@ -415,7 +416,8 @@ let test_incremental_image_property () =
           (fst (full_image db ~lsn:(Durable.snapshot_lsn durable)))
           (Option.get (Durable.snapshot durable)));
       let lsn = Wal.durable_end (Durable.wal durable) in
-      let image, rows =
+      let tables = Catalog.tables (Strip_db.catalog db) in
+      let segments, rows =
         Checkpoint.encode_catalog cache ~cat:(Strip_db.catalog db)
           ~views:(Strip_db.view_sql db)
           ~reg:(Rule_manager.registry (Strip_db.rules db))
@@ -423,9 +425,34 @@ let test_incremental_image_property () =
       in
       let expected, expected_rows = full_image db ~lsn in
       let what = Printf.sprintf "seed %d step %d" seed step in
-      Alcotest.(check string) (what ^ ": image") expected image;
-      Alcotest.(check int) (what ^ ": rows") expected_rows rows
+      Alcotest.(check string) (what ^ ": image") expected
+        (String.concat "" (List.map Durable.segment_bytes segments));
+      Alcotest.(check int) (what ^ ": rows") expected_rows rows;
+      (* header, one segment per table in catalog order, trailer *)
+      Alcotest.(check int) (what ^ ": segment count")
+        (List.length tables + 2) (List.length segments);
+      let table_segs =
+        List.filteri (fun i _ -> i >= 1 && i <= List.length tables) segments
+      in
+      List.iter2
+        (fun tb seg ->
+          match
+            List.find_opt (fun (tb', _, _) -> tb' == tb) !prev_tables
+          with
+          | Some (_, gen, prev_seg) when gen = Table.generation tb ->
+            incr shared;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: unchanged %s shares its segment" what
+                 (Table.name tb))
+              true
+              (Durable.segment_bytes prev_seg == Durable.segment_bytes seg)
+          | _ -> ())
+        tables table_segs;
+      prev_tables :=
+        List.map2 (fun tb seg -> (tb, Table.generation tb, seg)) tables
+          table_segs
     done;
+    Alcotest.(check bool) "some unchanged table was reused" true (!shared > 0);
     (* a crash discards the instance, and its cache with it *)
     Strip_db.crash db;
     let db2 = Strip_db.create ~now:!now ~durable () in
@@ -479,6 +506,119 @@ let test_crc32_matches_bytewise () =
   Alcotest.check_raises "a window past the end is refused"
     (Invalid_argument "Codec.crc32: range outside the string") (fun () ->
       ignore (Codec.crc32 ~pos:3 ~len:8 "0123456789"))
+
+(* Whole-word codec kernels against the byte-at-a-time reference. *)
+let ref_put_u32 b i =
+  for k = 0 to 3 do
+    Buffer.add_char b (Char.chr ((i lsr (8 * k)) land 0xff))
+  done
+
+let ref_put_i64 b (i : int64) =
+  for k = 0 to 7 do
+    Buffer.add_char b
+      (Char.chr (Int64.to_int (Int64.shift_right_logical i (8 * k)) land 0xff))
+  done
+
+let ref_get_u32 s pos =
+  let v = ref 0 in
+  for k = 0 to 3 do
+    v := !v lor (Char.code s.[pos + k] lsl (8 * k))
+  done;
+  !v
+
+let ref_get_i64 s pos =
+  let v = ref 0L in
+  for k = 0 to 7 do
+    v :=
+      Int64.logor !v
+        (Int64.shift_left (Int64.of_int (Char.code s.[pos + k])) (8 * k))
+  done;
+  !v
+
+let encoded put x =
+  let b = Buffer.create 8 in
+  put b x;
+  Buffer.contents b
+
+let test_codec_words_match_bytewise () =
+  let rng = Random.State.make [| 0xc0dec |] in
+  let u32s =
+    [ 0; 1; 0xff; 0x100; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFE; 0xFFFFFFFF ]
+    @ List.init 200 (fun _ -> Random.State.bits rng lor (Random.State.int rng 4 lsl 30))
+  in
+  List.iter
+    (fun i ->
+      let s = encoded ref_put_u32 i in
+      Alcotest.(check string) (Printf.sprintf "put_u32 %#x" i) s
+        (encoded Codec.put_u32 i);
+      (* read at an unaligned offset, and the reader advances one word *)
+      let r = Codec.reader ~pos:3 ("pad" ^ s ^ "tail") in
+      Alcotest.(check int) (Printf.sprintf "get_u32 %#x" i) (ref_get_u32 s 0)
+        (Codec.get_u32 r);
+      Alcotest.(check int) "u32 advances 4" 7 (Codec.position r))
+    u32s;
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "put_u32 %d refused" i)
+        (Invalid_argument "Codec.put_u32: out of range") (fun () ->
+          Codec.put_u32 (Buffer.create 4) i))
+    [ -1; 0x100000000; min_int; max_int ];
+  let i64s =
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; Int64.of_int min_int;
+      Int64.of_int max_int ]
+    @ List.init 200 (fun _ -> Random.State.int64 rng Int64.max_int)
+    @ List.init 200 (fun _ -> Int64.neg (Random.State.int64 rng Int64.max_int))
+  in
+  let floats =
+    [ 0.0; -0.0; infinity; neg_infinity; nan; Float.min_float; Float.max_float;
+      Int64.float_of_bits 0x7FF0000000000001L (* signalling NaN *);
+      Int64.float_of_bits 0xFFF8000000000abcL (* negative quiet NaN *);
+      Int64.float_of_bits 0x7FFFFFFFFFFFFFFFL ]
+    @ List.init 200 (fun _ -> Int64.float_of_bits (Random.State.bits64 rng))
+  in
+  let check_i64 what i =
+    let s = encoded ref_put_i64 i in
+    Alcotest.(check string) (what ^ ": put") s (encoded Codec.put_i64 i);
+    let r = Codec.reader ~pos:1 ("p" ^ s) in
+    Alcotest.(check int64) (what ^ ": get") (ref_get_i64 s 0) (Codec.get_i64 r);
+    Alcotest.(check int) "i64 advances 8" 9 (Codec.position r)
+  in
+  List.iter (fun i -> check_i64 (Int64.to_string i) i) i64s;
+  List.iter
+    (fun i ->
+      let what = string_of_int i in
+      Alcotest.(check string) (what ^ ": put_int")
+        (encoded ref_put_i64 (Int64.of_int i))
+        (encoded Codec.put_int i);
+      Alcotest.(check int) (what ^ ": get_int") i
+        (Codec.get_int (Codec.reader (encoded Codec.put_int i))))
+    [ 0; 1; -1; min_int; max_int ];
+  List.iter
+    (fun f ->
+      let bits = Int64.bits_of_float f in
+      let what = Printf.sprintf "float %Lx" bits in
+      Alcotest.(check string) (what ^ ": put")
+        (encoded ref_put_i64 bits) (encoded Codec.put_float f);
+      Alcotest.(check int64) (what ^ ": bits round-trip") bits
+        (Int64.bits_of_float
+           (Codec.get_float (Codec.reader (encoded Codec.put_float f)))))
+    floats;
+  (* every truncation point raises the same error, naming the position *)
+  let truncated name get width =
+    for pos = 0 to 2 do
+      for avail = 0 to width - 1 do
+        let data = String.make (pos + avail) 'x' in
+        Alcotest.check_raises
+          (Printf.sprintf "%s: %d of %d bytes at %d" name avail width pos)
+          (Codec.Decode_error
+             (Printf.sprintf "%s: truncated input at %d" name pos))
+          (fun () -> ignore (get (Codec.reader ~pos data)))
+      done
+    done
+  in
+  truncated "get_u32" Codec.get_u32 4;
+  truncated "get_i64" (fun r -> ignore (Codec.get_i64 r)) 8;
+  truncated "get_i64" (fun r -> ignore (Codec.get_float r)) 8
 
 (* ------------------------------------------------------------------ *)
 (* Crash + restart: exactly-once across the WAL and rebuilt queue *)
@@ -810,6 +950,8 @@ let suite =
           test_incremental_image_property;
         Alcotest.test_case "crc32 slicing-by-8 matches byte-wise" `Quick
           test_crc32_matches_bytewise;
+        Alcotest.test_case "codec word kernels match byte-wise" `Quick
+          test_codec_words_match_bytewise;
       ] );
     ( "recovery/restart",
       [

@@ -107,8 +107,8 @@ let test_wal_shard_records () =
       Wal.Shard_release { key = [ Value.Str "C3" ] };
       Wal.Shard_state
         {
-          next_seq = 6;
-          seen = [ (0, 1); (2, 4) ];
+          next_seq = [ (0, 3); (1, 6) ];
+          seen = [ (0, 2, []); (2, 4, [ 6; 9 ]) ];
           pending = [ ([ Value.Str "C9" ], 2.5, 1.0) ];
           unacked = [ (5, 1, [ Value.Str "C3" ], 0.625, 1.5) ];
         };
@@ -199,20 +199,179 @@ let test_dqueue_restore () =
   ignore (Dqueue.offer q ~src:0 ~seq:0 ~key:(k "C1") ~delta:1.0 ~created_at:1.0);
   ignore (Dqueue.offer q ~src:1 ~seq:2 ~key:(k "C2") ~delta:2.0 ~created_at:2.0);
   ignore (Dqueue.offer q ~src:0 ~seq:1 ~key:(k "C1") ~delta:0.5 ~created_at:3.0);
-  let seen = Dqueue.seen_list q and pending = Dqueue.pending_list q in
-  Alcotest.(check int) "seen size" 3 (List.length seen);
+  let seen = Dqueue.seen_state q and pending = Dqueue.pending_list q in
+  (* src 0 delivered 0 and 1 in order; src 1's seq 2 overtook 0 and 1 *)
+  Alcotest.(check bool) "compact seen state" true
+    (seen = [ (0, 2, []); (1, 0, [ 2 ]) ]);
+  Alcotest.(check int) "seen size" 3
+    (List.fold_left (fun n (_, hwm, ooo) -> n + hwm + List.length ooo) 0 seen);
   Alcotest.(check int) "pending size" 2 (List.length pending);
   let q2 = Dqueue.create () in
   Dqueue.restore q2 ~seen ~pending;
-  Alcotest.(check bool) "seen restored" true (Dqueue.seen_list q2 = seen);
+  Alcotest.(check bool) "seen restored" true (Dqueue.seen_state q2 = seen);
   Alcotest.(check bool) "pending restored" true
     (Dqueue.pending_list q2 = pending);
   Alcotest.(check bool) "first-arrival order kept" true
     (Dqueue.pending_keys q2 = Dqueue.pending_keys q);
-  (* restored dedup set still rejects the old identities *)
+  (* restored dedup set still rejects the old identities, below the
+     high-water mark and above it *)
   Alcotest.(check bool) "restored dedup" true
     (Dqueue.offer q2 ~src:0 ~seq:0 ~key:(k "C1") ~delta:9.0 ~created_at:9.0
-    = Dqueue.Duplicate)
+    = Dqueue.Duplicate);
+  Alcotest.(check bool) "restored out-of-order dedup" true
+    (Dqueue.offer q2 ~src:1 ~seq:2 ~key:(k "C2") ~delta:9.0 ~created_at:9.0
+    = Dqueue.Duplicate);
+  (* filling the gap folds the out-of-order identity into the mark *)
+  ignore (Dqueue.offer q2 ~src:1 ~seq:0 ~key:(k "C2") ~delta:1.0 ~created_at:9.0);
+  ignore (Dqueue.offer q2 ~src:1 ~seq:1 ~key:(k "C2") ~delta:1.0 ~created_at:9.0);
+  Alcotest.(check bool) "gap closed, out-of-order set drained" true
+    (Dqueue.seen_state q2 = [ (0, 2, []); (1, 3, []) ])
+
+(* Per-stream deliveries with drops and resends, duplicates, reordering,
+   releases, checkpoints and owner crashes rebuilt through
+   [Coordinator.scan_state]: every verdict equals a reference model that
+   keeps every (src, dst, seq) ever merged, and the compact dedup state
+   is exactly that set, with an out-of-order part no larger than the
+   stream's in flight (its partials from the oldest unmerged one to the
+   newest emitted). *)
+
+type dq_event =
+  | Emit of { src : int; dst : int; key : int }
+  | Deliver of { src : int; dst : int; pick : int }
+  | Release of { dst : int; key : int }
+  | Checkpoint of int
+  | Crash of int
+
+let n_src = 3 and n_dst = 2
+
+let dq_event_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        ( 5,
+          map3
+            (fun src dst key -> Emit { src; dst; key })
+            (int_bound (n_src - 1)) (int_bound (n_dst - 1)) (int_bound 3) );
+        ( 6,
+          map3
+            (fun src dst pick -> Deliver { src; dst; pick })
+            (int_bound (n_src - 1)) (int_bound (n_dst - 1)) nat );
+        ( 2,
+          map2 (fun dst key -> Release { dst; key }) (int_bound (n_dst - 1))
+            (int_bound 3) );
+        (1, map (fun d -> Checkpoint d) (int_bound (n_dst - 1)));
+        (1, map (fun d -> Crash d) (int_bound (n_dst - 1)));
+      ])
+
+let print_dq_event = function
+  | Emit { src; dst; key } -> Printf.sprintf "emit %d->%d C%d" src dst key
+  | Deliver { src; dst; pick } -> Printf.sprintf "deliver %d->%d #%d" src dst pick
+  | Release { dst; key } -> Printf.sprintf "release %d C%d" dst key
+  | Checkpoint d -> Printf.sprintf "checkpoint %d" d
+  | Crash d -> Printf.sprintf "crash %d" d
+
+let run_dq_events events =
+  let emitted = Array.make_matrix n_src n_dst [||] in
+  (* the reference model *)
+  let merged = Hashtbl.create 64 and model_pending = Hashtbl.create 8 in
+  let owners =
+    Array.init n_dst (fun _ -> (Dqueue.create (), Strip_txn.Durable.create ()))
+  in
+  let log dst r =
+    let w = Strip_txn.Durable.wal (snd owners.(dst)) in
+    ignore (Wal.append w r);
+    Wal.fsync w
+  in
+  List.iter
+    (fun ev ->
+      (match ev with
+      | Emit { src; dst; key } ->
+        let ps = emitted.(src).(dst) in
+        emitted.(src).(dst) <- Array.append ps [| key |]
+      | Deliver { src; dst; pick } ->
+        let ps = emitted.(src).(dst) in
+        if Array.length ps > 0 then begin
+          let seq = pick mod Array.length ps in
+          let key = k (Printf.sprintf "C%d" ps.(seq)) in
+          let expected =
+            if Hashtbl.mem merged (src, dst, seq) then Dqueue.Duplicate
+            else begin
+              Hashtbl.replace merged (src, dst, seq) ();
+              if Hashtbl.mem model_pending (dst, key) then Dqueue.Merged
+              else begin
+                Hashtbl.replace model_pending (dst, key) ();
+                Dqueue.Fresh
+              end
+            end
+          in
+          let q = fst owners.(dst) in
+          let got = Dqueue.offer q ~src ~seq ~key ~delta:1.0 ~created_at:0.0 in
+          if got <> expected then
+            QCheck2.Test.fail_reportf "verdict for (%d, %d, %d)" src dst seq;
+          if got <> Dqueue.Duplicate then
+            log dst
+              (Wal.Shard_in { src; seq; key; delta = 1.0; created_at = 0.0 })
+        end
+      | Release { dst; key } ->
+        let key = k (Printf.sprintf "C%d" key) in
+        if Hashtbl.mem model_pending (dst, key) then begin
+          Hashtbl.remove model_pending (dst, key);
+          Dqueue.remove (fst owners.(dst)) ~key;
+          log dst (Wal.Shard_release { key })
+        end
+      | Checkpoint dst ->
+        (* truncation followed by a fresh baseline, as the coordinator
+           does after every checkpoint *)
+        let q, d = owners.(dst) in
+        let w = Strip_txn.Durable.wal d in
+        Wal.truncate_to w ~lsn:(Wal.durable_end w);
+        log dst
+          (Wal.Shard_state
+             {
+               next_seq = [];
+               seen = Dqueue.seen_state q;
+               pending = Dqueue.pending_list q;
+               unacked = [];
+             })
+      | Crash dst ->
+        let q, d = owners.(dst) in
+        let st = Strip_shard.Coordinator.scan_state d in
+        Dqueue.restore q
+          ~seen:(Dqueue.seen_state st.Strip_shard.Coordinator.queue)
+          ~pending:(Dqueue.pending_list st.Strip_shard.Coordinator.queue));
+      (* the compact state is exactly the model's set, and small *)
+      for dst = 0 to n_dst - 1 do
+        let seen = Dqueue.seen_state (fst owners.(dst)) in
+        for src = 0 to n_src - 1 do
+          let emitted = Array.length emitted.(src).(dst) in
+          let rec gap i = if Hashtbl.mem merged (src, dst, i) then gap (i + 1) else i in
+          let hwm = gap 0 in
+          let ooo =
+            List.filter
+              (fun seq -> Hashtbl.mem merged (src, dst, seq))
+              (List.init (max 0 (emitted - hwm)) (fun i -> hwm + i))
+          in
+          let got =
+            match List.find_opt (fun (s, _, _) -> s = src) seen with
+            | Some (_, h, o) -> (h, o)
+            | None -> (0, [])
+          in
+          if got <> (hwm, ooo) then
+            QCheck2.Test.fail_reportf "dedup state of stream %d->%d" src dst;
+          if List.length (snd got) > emitted - hwm then
+            QCheck2.Test.fail_reportf "out-of-order set of %d->%d too large"
+              src dst
+        done
+      done)
+    events;
+  true
+
+let prop_dqueue_matches_reference =
+  QCheck2.Test.make ~name:"dqueue: verdicts match the keep-everything model"
+    ~count:300
+    ~print:(fun evs -> String.concat "; " (List.map print_dq_event evs))
+    QCheck2.Gen.(list_size (int_range 1 200) dq_event_gen)
+    run_dq_events
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end sharded runs *)
@@ -351,6 +510,62 @@ let test_shard_crash_recovery () =
     Alcotest.(check bool) "audit clean" true r.Experiment.audit_clean
   | None -> Alcotest.fail "recovery metrics missing"
 
+(* The protocol state logged after every checkpoint is bounded by what
+   is in flight, not by how long the feed has run: doubling the feed at
+   the same seed (with drops, so resends and out-of-order arrivals
+   happen) must not grow the largest Shard_state record. *)
+let test_shard_state_constant_size () =
+  let largest ~stretch =
+    let base =
+      sharded_cfg ~shards:3
+        (Experiment.Comp_view Comp_rules.Unique_on_comp)
+        ~delay:1.0
+    in
+    let feed = base.Experiment.feed in
+    let feed =
+      {
+        feed with
+        Strip_market.Feed.duration = stretch *. feed.Strip_market.Feed.duration;
+        target_updates =
+          int_of_float (stretch *. float_of_int feed.Strip_market.Feed.target_updates);
+      }
+    in
+    let shard = Option.get base.Experiment.shard in
+    let cfg =
+      {
+        base with
+        Experiment.feed;
+        shard =
+          Some
+            {
+              shard with
+              Experiment.shard_link =
+                { shard.Experiment.shard_link with Strip_repl.Link.drop_rate = 0.05 };
+              shard_crash_at = Some (1, feed.Strip_market.Feed.duration /. 2.0);
+            };
+      }
+    in
+    let m = Shard_exp.dispatch cfg in
+    Alcotest.(check bool) "verified" true (m.Experiment.verified = Some true);
+    let rows name =
+      List.filter_map
+        (fun (r : Strip_obs.Metrics.row) ->
+          match r.Strip_obs.Metrics.datum with
+          | Strip_obs.Metrics.Int v when r.Strip_obs.Metrics.name = name -> Some v
+          | _ -> None)
+        m.Experiment.registry
+    in
+    ( List.fold_left max 0 (rows "shard_state_bytes_max"),
+      (Option.get m.Experiment.shard).Experiment.sh_reships )
+  in
+  let short, reships = largest ~stretch:1.0 in
+  let long, _ = largest ~stretch:2.0 in
+  Alcotest.(check bool) "drops forced resends" true (reships > 0);
+  Alcotest.(check bool) "Shard_state was logged" true (short > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "largest Shard_state %d B -> %d B" short long)
+    true (long <= short)
+
 let suite =
   [
     ( "shard",
@@ -367,6 +582,7 @@ let suite =
           test_dqueue_order_independence;
         Alcotest.test_case "dqueue: state snapshot restore" `Quick
           test_dqueue_restore;
+        QCheck_alcotest.to_alcotest prop_dqueue_matches_reference;
         Alcotest.test_case "partitioned population unions to the whole" `Slow
           test_partition_union;
         Alcotest.test_case "sharded run: clean cross-shard audit" `Slow
@@ -375,5 +591,7 @@ let suite =
           test_sharded_determinism;
         Alcotest.test_case "crash during ship: exactly-once recovery" `Slow
           test_shard_crash_recovery;
+        Alcotest.test_case "Shard_state size is constant in run length" `Slow
+          test_shard_state_constant_size;
       ] );
   ]
