@@ -352,78 +352,84 @@ let run_experiment view variant delay scale verify seed abort_rate fault_seed
       | os -> Some (Strip_obs.Slo.create os)
     in
     let cfg = { cfg with Experiment.trace = tr; slo } in
-    let m = Shard_exp.dispatch cfg in
-    if json then Report.print_metrics_json [ m ]
-    else begin
-      Report.print_metrics_header ();
-      Report.print_metrics m;
-      Report.print_failures m;
-      Report.print_servers m;
-      Report.print_recovery m;
-      Report.print_repl m;
-      Report.print_shard m;
-      Report.print_staleness m;
-      Report.print_slo m;
-      Report.print_trace m;
-      Printf.printf
-        "updates: %d; firings: %d; fanout E[rows/update]: %.1f; busy \
-         update/recompute: %.1fs/%.1fs\n"
-        m.Experiment.n_updates m.Experiment.n_firings
-        m.Experiment.expected_fanout m.Experiment.busy_update_s
-        m.Experiment.busy_recompute_s
-    end;
-    (match (trace_file, tr) with
-    | Some path, Some tr ->
-      let oc = open_out path in
-      (* A replicated traced run merges every node's buffer into one
-         cluster-wide tree (one pid per node); otherwise the single
-         primary buffer exports exactly as before. *)
-      (match m.Experiment.cluster_traces with
-      | [] ->
-        Strip_obs.Json.to_channel oc (Strip_obs.Trace.chrome_json tr);
+    match Experiment.validate ~sharded:(shards > 1) cfg with
+    | exception Invalid_argument msg ->
+      prerr_endline msg;
+      1
+    | _ ->
+      let m = Shard_exp.dispatch cfg in
+      if json then Report.print_metrics_json [ m ]
+      else begin
+        Report.print_metrics_header ();
+        Report.print_metrics m;
+        Report.print_failures m;
+        Report.print_servers m;
+        Report.print_recovery m;
+        Report.print_repl m;
+        Report.print_shard m;
+        Report.print_staleness m;
+        Report.print_slo m;
+        Report.print_trace m;
+        Printf.printf
+          "updates: %d; firings: %d; fanout E[rows/update]: %.1f; busy \
+           update/recompute: %.1fs/%.1fs\n"
+          m.Experiment.n_updates m.Experiment.n_firings
+          m.Experiment.expected_fanout m.Experiment.busy_update_s
+          m.Experiment.busy_recompute_s
+      end;
+      (match (trace_file, tr) with
+      | Some path, Some tr ->
+        let oc = open_out path in
+        (* A replicated traced run merges every node's buffer into one
+           cluster-wide tree (one pid per node); otherwise the single
+           primary buffer exports exactly as before. *)
+        (match m.Experiment.cluster_traces with
+        | [] ->
+          Strip_obs.Json.to_channel oc (Strip_obs.Trace.chrome_json tr);
+          close_out oc;
+          if not json then
+            Printf.printf "wrote Chrome trace (%d events) to %s\n"
+              (Strip_obs.Trace.length tr) path
+        | nodes ->
+          Strip_obs.Json.to_channel oc
+            (Strip_obs.Trace.merge_chrome_json nodes);
+          close_out oc;
+          if not json then
+            Printf.printf
+              "wrote merged cluster trace (%d events across %d nodes) to %s\n"
+              (List.fold_left
+                 (fun a (_, t) -> a + Strip_obs.Trace.length t)
+                 0 nodes)
+              (List.length nodes) path)
+      | _ -> ());
+      (match metrics_file with
+      | None -> ()
+      | Some path ->
+        let oc = open_out path in
+        if Filename.check_suffix path ".csv" then
+          output_string oc (Strip_obs.Metrics.csv_of_rows m.Experiment.registry)
+        else
+          Strip_obs.Json.to_channel oc
+            (Strip_obs.Metrics.json_of_rows m.Experiment.registry);
         close_out oc;
-        if not json then
-          Printf.printf "wrote Chrome trace (%d events) to %s\n"
-            (Strip_obs.Trace.length tr) path
-      | nodes ->
-        Strip_obs.Json.to_channel oc (Strip_obs.Trace.merge_chrome_json nodes);
-        close_out oc;
-        if not json then
-          Printf.printf
-            "wrote merged cluster trace (%d events across %d nodes) to %s\n"
-            (List.fold_left
-               (fun a (_, t) -> a + Strip_obs.Trace.length t)
-               0 nodes)
-            (List.length nodes) path)
-    | _ -> ());
-    (match metrics_file with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      if Filename.check_suffix path ".csv" then
-        output_string oc (Strip_obs.Metrics.csv_of_rows m.Experiment.registry)
-      else
-        Strip_obs.Json.to_channel oc
-          (Strip_obs.Metrics.json_of_rows m.Experiment.registry);
-      close_out oc;
-      if not json then Printf.printf "wrote metrics snapshot to %s\n" path);
-    let audit_failed =
-      (match m.Experiment.recovery with
-      | Some r -> not r.Experiment.audit_clean
-      | None -> false)
-      ||
-      match m.Experiment.shard with
-      | Some s -> s.Experiment.cross_divergences > 0
-      | None -> false
-    in
-    let slo_failed =
-      List.exists
-        (fun (r : Strip_obs.Slo.view_report) -> not r.Strip_obs.Slo.r_met)
-        m.Experiment.slo
-    in
-    (match m.Experiment.verified with
-    | Some false -> 1
-    | _ -> if audit_failed || slo_failed then 1 else 0)
+        if not json then Printf.printf "wrote metrics snapshot to %s\n" path);
+      let audit_failed =
+        (match m.Experiment.recovery with
+        | Some r -> not r.Experiment.audit_clean
+        | None -> false)
+        ||
+        match m.Experiment.shard with
+        | Some s -> s.Experiment.cross_divergences > 0
+        | None -> false
+      in
+      let slo_failed =
+        List.exists
+          (fun (r : Strip_obs.Slo.view_report) -> not r.Strip_obs.Slo.r_met)
+          m.Experiment.slo
+      in
+      (match m.Experiment.verified with
+      | Some false -> 1
+      | _ -> if audit_failed || slo_failed then 1 else 0)
 
 let experiment_cmd =
   let term =

@@ -147,6 +147,38 @@ let quick cfg f =
     sizes = Pta_tables.scaled_sizes cfg.sizes f;
   }
 
+(* Config promotion and validation, in one place for both drivers.
+   Replication and chaos ride on the durability substrate (replicas
+   bootstrap from checkpoints; a chaos schedule needs the crash-restart
+   loop), storage events on the storage substrate, and a sharded run is
+   always durable: the partial-delta protocol's exactly-once guarantee
+   rests on Shard_* WAL records.  The sharded driver rejects what it
+   cannot honour instead of silently dropping it. *)
+let validate ~sharded cfg =
+  let reject field =
+    invalid_arg
+      (Printf.sprintf "Experiment.validate: %s is not supported with shards > 1"
+         field)
+  in
+  let replicas, read_rate =
+    match cfg.repl with Some r -> (r.replicas, r.read_rate) | None -> (0, 0.0)
+  in
+  if sharded then begin
+    if replicas > 0 then reject "repl.replicas";
+    if read_rate > 0.0 then reject "repl.read_rate";
+    if cfg.chaos <> [] then reject "chaos";
+    if Option.bind cfg.recovery (fun r -> r.crash_at) <> None then
+      reject "recovery.crash_at"
+  end;
+  let cfg =
+    if cfg.recovery = None && (sharded || replicas > 0 || cfg.chaos <> []) then
+      { cfg with recovery = Some default_recovery }
+    else cfg
+  in
+  if cfg.storage = None && List.exists is_storage_event cfg.chaos then
+    { cfg with storage = Some default_storage }
+  else cfg
+
 type recovery_metrics = {
   n_crashes : int;
   n_checkpoints : int;
@@ -328,11 +360,8 @@ let verify_tolerance = function
   | Comp_view _ -> 1e-6
   | Option_view _ -> 1e-9
 
-(* Cluster-level histogram rows merge per-node distributions into one
-   summary.  First wired for a single primary lineage (the live instance
-   plus its crashed epochs); the sharded driver folds N shard primaries'
-   histograms through this same helper, so single-shard output is
-   unchanged. *)
+(* One summary row over several histograms (nodes or incarnations);
+   [None] when they are all empty. *)
 let merged_summary hs =
   let m = Strip_obs.Histogram.merge hs in
   if Strip_obs.Histogram.count m = 0 then None
@@ -459,7 +488,28 @@ type rec_totals = {
   mutable t_orphan_merges : int;
 }
 
-let add_salvage_totals totals (rs : Recovery.stats) =
+let zero_totals () =
+  {
+    t_crashes = 0;
+    t_partitions = 0;
+    t_promotions = [];
+    t_redo_commits = 0;
+    t_redo_ops = 0;
+    t_requeued = 0;
+    t_restored_rows = 0;
+    t_recovery_s = 0.0;
+    t_cp_fallbacks = 0;
+    t_salvaged_ranges = 0;
+    t_salvaged_bytes = 0;
+    t_quarantined_bytes = 0;
+    t_orphan_merges = 0;
+  }
+
+let add_recovery totals (rs : Recovery.stats) =
+  totals.t_redo_commits <- totals.t_redo_commits + rs.Recovery.redo_commits;
+  totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
+  totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
+  totals.t_restored_rows <- totals.t_restored_rows + rs.Recovery.restored_rows;
   totals.t_cp_fallbacks <- totals.t_cp_fallbacks + rs.Recovery.cp_fallbacks;
   totals.t_salvaged_ranges <-
     totals.t_salvaged_ranges + rs.Recovery.salvaged_ranges;
@@ -467,6 +517,75 @@ let add_salvage_totals totals (rs : Recovery.stats) =
   totals.t_quarantined_bytes <-
     totals.t_quarantined_bytes + rs.Recovery.quarantined_bytes;
   totals.t_orphan_merges <- totals.t_orphan_merges + rs.Recovery.orphan_merges
+
+(* Crashes and partitions share one budget: once [spent] reaches
+   [max_crashes], fresh instances get zeroed crash and partition rates
+   so a hostile seed cannot prevent convergence (scheduled events fire
+   once by construction). *)
+let budget_fault cfg rcfg ~spent =
+  if spent >= rcfg.max_crashes then
+    Option.map
+      (fun (c : Strip_txn.Fault.config) ->
+        {
+          c with
+          Strip_txn.Fault.rates =
+            {
+              c.Strip_txn.Fault.rates with
+              Strip_txn.Fault.crash = 0.0;
+              partition = 0.0;
+            };
+        })
+      cfg.fault
+  else cfg.fault
+
+let import_target (h : Pta_tables.handles) =
+  {
+    Strip_ingest.Import.stocks = h.Pta_tables.stocks;
+    by_symbol = h.Pta_tables.stocks_by_symbol;
+  }
+
+(* Quotes at or before a crash (or partition) cut are consumed or lost
+   input; the rest of the feed resumes against the recovered instance.
+   Re-running a quote would be harmless (prices are absolute), so the
+   conservative cut is exact-time exclusive. *)
+let requote db h quotes ~after =
+  let rest =
+    Array.of_seq
+      (Seq.filter
+         (fun (q : Feed.quote) -> q.Feed.time > after)
+         (Array.to_seq quotes))
+  in
+  ignore (Strip_ingest.Import.replay db (import_target h) rest)
+
+(* Modeled seconds for the global meter's current counts of [cells]. *)
+let metered_s cost cells =
+  1e-6
+  *. Strip_sim.Cost_model.charge cost (List.map (fun c -> (c, Meter.get c)) cells)
+
+(* The recovery report over the durable stores still in service. *)
+let recovery_metrics cost ~durables ~totals ~n_crashes ~total_recovery_s
+    ~audit_clean ~audit_divergences ~repairs =
+  let open Strip_txn in
+  let sum f = List.fold_left (fun t d -> t + f d) 0 durables in
+  let sum_wal f = sum (fun d -> f (Durable.wal d)) in
+  {
+    n_crashes;
+    n_checkpoints = sum Durable.n_checkpoints;
+    checkpoint_bytes = sum Durable.last_checkpoint_bytes;
+    wal_appends = sum_wal Wal.n_appends;
+    wal_fsyncs = sum_wal Wal.n_fsyncs;
+    wal_appended_bytes = sum_wal Wal.appended_bytes;
+    wal_overhead_s = metered_s cost [ "wal_append"; "wal_fsync" ];
+    checkpoint_overhead_s = metered_s cost [ "checkpoint_row" ];
+    redo_commits = totals.t_redo_commits;
+    redo_ops = totals.t_redo_ops;
+    requeued = totals.t_requeued;
+    restored_rows = totals.t_restored_rows;
+    total_recovery_s;
+    audit_clean;
+    audit_divergences;
+    repairs;
+  }
 
 (* (Re-)arm the chaos events still strictly in the future on the live
    instance — called at the start of the drive and after every crash or
@@ -519,16 +638,19 @@ let run_with_reads ~cluster db =
 
 (* Crash-restart loop: run the engine until it drains; on every
    {!Strip_txn.Fault.Crashed} escape, condemn the volatile state, bring up
-   a fresh instance against the shared durable store, recover, charge the
-   modeled recovery latency as downtime, resubmit the quotes the crash did
-   not consume, and keep going.  With replicas attached, the crash is
-   instead resolved by failover: the cluster promotes the replica with the
-   highest applied LSN and recovery replays {e its} durable copy.  After
-   [max_crashes] the crash {e rate} is zeroed (a scheduled [crash_at]
-   fires once by construction) so a hostile seed cannot loop forever. *)
+   a fresh instance against the shared durable store and recover it
+   ({!Recovery.restart} charges the modeled latency as downtime), resubmit
+   the quotes the crash did not consume, and keep going.  With replicas
+   attached, the crash is instead resolved by failover: the cluster
+   promotes the replica with the highest applied LSN and recovery replays
+   {e its} durable copy; a partition that outlives detection elects over
+   the cut the same way.  After [max_crashes] the crash {e rate} is zeroed
+   (a scheduled [crash_at] fires once by construction) so a hostile seed
+   cannot loop forever. *)
 let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
     ~abandoned db0 h0 =
   let open Strip_txn in
+  let module C = Strip_repl.Cluster in
   Strip_db.checkpoint db0;
   (* Bound the checkpoint schedule by the feed: an unbounded schedule would
      keep the event queue non-empty forever and the engine would never
@@ -539,33 +661,68 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
   let cluster = mk_cluster db0 in
   (match cluster with
   | Some c ->
-    Strip_repl.Cluster.register_metrics c (Strip_db.metrics db0);
-    Strip_repl.Cluster.schedule_shipping c ~until:cp_until
+    C.register_metrics c (Strip_db.metrics db0);
+    C.schedule_shipping c ~until:cp_until
   | None -> ());
-  (match rcfg.checkpoint_every with
-  | Some every -> Strip_db.schedule_checkpoints db0 ~every ~until:cp_until ()
-  | None -> ());
-  (match rcfg.crash_at with
-  | Some at -> Strip_db.schedule_crash db0 ~at
-  | None -> ());
-  arm_chaos cfg db0 ~now:(Strip_db.now db0);
-  arm_scrub db0 cluster;
+  (* Checkpoints, chaos events and the scrubber die with their engine:
+     every incarnation re-arms them. *)
+  let arm ?crash_at db =
+    (match rcfg.checkpoint_every with
+    | Some every -> Strip_db.schedule_checkpoints db ~every ~until:cp_until ()
+    | None -> ());
+    Option.iter (fun at -> Strip_db.schedule_crash db ~at) crash_at;
+    arm_chaos cfg db ~now:(Strip_db.now db);
+    arm_scrub db cluster
+  in
+  arm ?crash_at:rcfg.crash_at db0;
+  (* Crashes and long partitions fail over only with replicas to elect. *)
+  let replicated =
+    match cluster with Some c when C.n_replicas c > 0 -> cluster | _ -> None
+  in
   let db = ref db0 and h = ref h0 in
   let finished = ref false in
-  (* Crashes and partitions share one budget: past [max_crashes] total
-     escapes, both rates are zeroed so a hostile seed cannot prevent
-     convergence (scheduled events fire once by construction). *)
-  let budget_fault () =
-    if totals.t_crashes + totals.t_partitions >= rcfg.max_crashes then
-      Option.map
-        (fun (c : Fault.config) ->
-          {
-            c with
-            Fault.rates =
-              { c.Fault.rates with Fault.crash = 0.0; partition = 0.0 };
-          })
-        cfg.fault
-    else cfg.fault
+  let fresh_fault () =
+    budget_fault cfg rcfg ~spent:(totals.t_crashes + totals.t_partitions)
+  in
+  (* Every recovery attempt reattaches the handles and reinstalls the
+     rules on its fresh instance. *)
+  let nh = ref h0 in
+  let reinstall ndb =
+    let hh = Pta_tables.reattach ndb in
+    nh := hh;
+    install_rules cfg ndb hh
+  in
+  (* Failover attempt: promotion recovers from the elected replica's
+     durable copy (bootstrap image + shipped tail) instead of the dead
+     primary's store. *)
+  let promote c ~isolated ~now () =
+    let ndb, rs, info =
+      (if isolated then C.promote_isolated else C.promote)
+        c ~now
+        ~mk_db:(fun dur -> mk_db ~now ~durable:dur ?fault:(fresh_fault ()) cfg)
+        ~reinstall
+    in
+    totals.t_promotions <-
+      (info.C.epoch, info.C.promoted, info.C.promoted_lsn)
+      :: totals.t_promotions;
+    (ndb, rs)
+  in
+  (* A store that left service can no longer influence a served read, but
+     its media-fault ledger still counts toward the run's
+     silent-corruption audit. *)
+  let abandon od =
+    if not (List.memq od !abandoned) then begin
+      Durable.note_abandoned od;
+      abandoned := od :: !abandoned
+    end
+  in
+  let resume ~cut (ndb, rs, rec_s) =
+    add_recovery totals rs;
+    totals.t_recovery_s <- totals.t_recovery_s +. rec_s;
+    requote ndb !nh quotes ~after:cut;
+    arm ndb;
+    db := ndb;
+    h := !nh
   in
   while not !finished do
     match run_with_reads ~cluster !db with
@@ -574,123 +731,44 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
       let t_crash = Strip_db.now !db in
       accumulate acc !db;
       Strip_db.crash !db;
-      let before = Meter.snapshot () in
-      let next_fault () =
-        totals.t_crashes <- totals.t_crashes + 1;
-        budget_fault ()
+      totals.t_crashes <- totals.t_crashes + 1;
+      let fresh = ref !db in
+      let restart () =
+        let ndb = mk_db ~now:t_crash ~durable ?fault:(fresh_fault ()) cfg in
+        fresh := ndb;
+        (ndb, Recovery.recover ndb ~reinstall:(fun () -> reinstall ndb))
       in
-      (* A rate-based crash can also hit mid-recovery (the post-recovery
-         checkpoint is a crash site); retry on yet another fresh instance —
-         the durable state is untouched until that checkpoint installs. *)
-      let rec restart () =
-        let fault = next_fault () in
-        let ndb = mk_db ~now:t_crash ~durable ?fault cfg in
-        let nh = ref None in
-        match
-          Recovery.recover ndb ~reinstall:(fun () ->
-              let hh = Pta_tables.reattach ndb in
-              nh := Some hh;
-              install_rules cfg ndb hh)
-        with
-        | rs -> (ndb, Option.get !nh, rs)
-        | exception Fault.Crashed _ ->
-          Strip_db.crash ndb;
-          restart ()
+      let attempt =
+        match replicated with
+        | Some c ->
+          (* Failing over abandons the dead primary's durable store. *)
+          Option.iter abandon (Strip_db.durable !db);
+          promote c ~isolated:false ~now:t_crash
+        | None -> restart
       in
-      (* Failover: promotion recovers from the elected replica's durable
-         copy (bootstrap image + shipped tail) instead of the dead
-         primary's store. *)
-      let rec failover c =
-        let fault = next_fault () in
-        let nh = ref None in
-        match
-          Strip_repl.Cluster.promote c ~now:t_crash
-            ~mk_db:(fun dur -> mk_db ~now:t_crash ~durable:dur ?fault cfg)
-            ~reinstall:(fun ndb ->
-              let hh = Pta_tables.reattach ndb in
-              nh := Some hh;
-              install_rules cfg ndb hh)
-        with
-        | _ndb, rs, info ->
-          totals.t_promotions <-
-            ( info.Strip_repl.Cluster.epoch,
-              info.Strip_repl.Cluster.promoted,
-              info.Strip_repl.Cluster.promoted_lsn )
-            :: totals.t_promotions;
-          (Strip_repl.Cluster.primary c, Option.get !nh, rs)
-        | exception Fault.Crashed _ -> failover c
+      let ((ndb, _, rec_s) as r) =
+        Recovery.restart ~cost:cfg.cost attempt ~on_crash:(fun () ->
+            totals.t_crashes <- totals.t_crashes + 1;
+            if replicated = None then Strip_db.crash !fresh)
       in
-      let failing_over =
-        match cluster with
-        | Some c when Strip_repl.Cluster.n_replicas c > 0 -> Some c
-        | _ -> None
-      in
-      (* Failing over abandons the dead primary's durable store: nothing
-         in it can influence a served read anymore, but its media-fault
-         ledger still counts toward the run's silent-corruption audit. *)
-      (match (failing_over, Strip_db.durable !db) with
-      | Some _, Some od when not (List.memq od !abandoned) ->
-        Durable.note_abandoned od;
-        abandoned := od :: !abandoned
-      | _ -> ());
-      let ndb, nh, rs =
-        match failing_over with Some c -> failover c | None -> restart ()
-      in
-      let recovery_work = Meter.diff before (Meter.snapshot ()) in
-      let rec_s = 1e-6 *. Strip_sim.Cost_model.charge cfg.cost recovery_work in
-      Clock.advance_by (Strip_db.clock ndb) rec_s;
       Strip_sim.Stats.record_crash (Strip_db.stats ndb) ~recovery_s:rec_s;
-      (match failing_over with
-      | Some c ->
-        (* Re-seed the surviving nodes (and the demoted old primary's
-           slot) from the promoted node's fresh checkpoint, after the
-           downtime accounting — resynchronization proceeds in parallel
-           with resumed service. *)
-        Strip_repl.Cluster.resume c
-          ~now:(Clock.now (Strip_db.clock ndb))
-          ~ship_until:cp_until;
-        Strip_repl.Cluster.register_metrics c (Strip_db.metrics ndb)
-      | None -> ());
-      totals.t_redo_commits <- totals.t_redo_commits + rs.Recovery.redo_commits;
-      totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
-      totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
-      totals.t_restored_rows <-
-        totals.t_restored_rows + rs.Recovery.restored_rows;
-      totals.t_recovery_s <- totals.t_recovery_s +. rec_s;
-      add_salvage_totals totals rs;
-      (* Quotes at or before the crash are consumed or lost input; the rest
-         of the feed resumes against the recovered instance.  Re-running a
-         quote would be harmless (prices are absolute), so the conservative
-         cut is exact-time exclusive. *)
-      let rest =
-        Array.of_seq
-          (Seq.filter
-             (fun (q : Feed.quote) -> q.Feed.time > t_crash)
-             (Array.to_seq quotes))
-      in
-      ignore
-        (Strip_ingest.Import.replay ndb
-           {
-             Strip_ingest.Import.stocks = nh.Pta_tables.stocks;
-             by_symbol = nh.Pta_tables.stocks_by_symbol;
-           }
-           rest);
-      (match rcfg.checkpoint_every with
-      | Some every -> Strip_db.schedule_checkpoints ndb ~every ~until:cp_until ()
-      | None -> ());
-      arm_chaos cfg ndb ~now:(Strip_db.now ndb);
-      arm_scrub ndb cluster;
-      db := ndb;
-      h := nh
+      (* Re-seed the surviving nodes (and the demoted old primary's slot)
+         from the promoted node's fresh checkpoint, after the downtime
+         accounting — resynchronization proceeds in parallel with resumed
+         service. *)
+      Option.iter
+        (fun c ->
+          C.resume c ~now:(Clock.now (Strip_db.clock ndb)) ~ship_until:cp_until;
+          C.register_metrics c (Strip_db.metrics ndb))
+        replicated;
+      resume ~cut:t_crash r
     | exception Fault.Partitioned { heal_after_s; _ } -> (
       let t_part = Strip_db.now !db in
       let detect_s =
         match cfg.repl with Some r -> r.partition_detect_s | None -> 0.1
       in
-      match cluster with
-      | Some c
-        when Strip_repl.Cluster.n_replicas c > 0 && heal_after_s > detect_s ->
-        let module C = Strip_repl.Cluster in
+      match replicated with
+      | Some c when heal_after_s > detect_s ->
         let heal_at = t_part +. heal_after_s in
         let detect_at = t_part +. detect_s in
         totals.t_partitions <- totals.t_partitions + 1;
@@ -712,41 +790,11 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
         (* Detection timeout expired: the majority side elects a new
            primary over the partition.  Mid-recovery crashes of the
            candidate retry the election, spending crash budget. *)
-        let before = Meter.snapshot () in
-        let attempt = ref 0 in
-        let rec failover_isolated () =
-          if !attempt > 0 then totals.t_crashes <- totals.t_crashes + 1;
-          incr attempt;
-          let fault = budget_fault () in
-          let nh = ref None in
-          match
-            C.promote_isolated c ~now:detect_at
-              ~mk_db:(fun dur -> mk_db ~now:detect_at ~durable:dur ?fault cfg)
-              ~reinstall:(fun ndb ->
-                let hh = Pta_tables.reattach ndb in
-                nh := Some hh;
-                install_rules cfg ndb hh)
-          with
-          | _ndb, rs, info -> (C.primary c, Option.get !nh, rs, info)
-          | exception Fault.Crashed _ -> failover_isolated ()
+        let ((ndb, _, _) as r) =
+          Recovery.restart ~cost:cfg.cost
+            ~on_crash:(fun () -> totals.t_crashes <- totals.t_crashes + 1)
+            (promote c ~isolated:true ~now:detect_at)
         in
-        let ndb, nh, rs, info = failover_isolated () in
-        totals.t_promotions <-
-          (info.C.epoch, info.C.promoted, info.C.promoted_lsn)
-          :: totals.t_promotions;
-        let recovery_work = Meter.diff before (Meter.snapshot ()) in
-        let rec_s =
-          1e-6 *. Strip_sim.Cost_model.charge cfg.cost recovery_work
-        in
-        Clock.advance_by (Strip_db.clock ndb) rec_s;
-        totals.t_redo_commits <-
-          totals.t_redo_commits + rs.Recovery.redo_commits;
-        totals.t_redo_ops <- totals.t_redo_ops + rs.Recovery.redo_ops;
-        totals.t_requeued <- totals.t_requeued + rs.Recovery.requeued;
-        totals.t_restored_rows <-
-          totals.t_restored_rows + rs.Recovery.restored_rows;
-        totals.t_recovery_s <- totals.t_recovery_s +. rec_s;
-        add_salvage_totals totals rs;
         (* The new term opens immediately: shipping and reads resume on
            the promoted primary while the deposed one rides out the
            partition on the other side. *)
@@ -760,71 +808,26 @@ let drive cfg rcfg ~durable ~quotes ~acc ~totals ~mk_cluster ~arm_scrub
         accumulate acc old_db;
         Strip_db.crash old_db;
         ignore (C.heal c ~now:heal_at);
-        (match Strip_db.durable old_db with
-        | Some od when not (List.memq od !abandoned) ->
-          Durable.note_abandoned od;
-          abandoned := od :: !abandoned
-        | _ -> ());
+        Option.iter abandon (Strip_db.durable old_db);
         (* Quotes after the cut belong to the new timeline; the doomed
            instance's work on them was fenced away with its tail. *)
-        let rest =
-          Array.of_seq
-            (Seq.filter
-               (fun (q : Feed.quote) -> q.Feed.time > t_part)
-               (Array.to_seq quotes))
-        in
-        ignore
-          (Strip_ingest.Import.replay ndb
-             {
-               Strip_ingest.Import.stocks = nh.Pta_tables.stocks;
-               by_symbol = nh.Pta_tables.stocks_by_symbol;
-             }
-             rest);
-        (match rcfg.checkpoint_every with
-        | Some every ->
-          Strip_db.schedule_checkpoints ndb ~every ~until:cp_until ()
-        | None -> ());
-        arm_chaos cfg ndb ~now:(Strip_db.now ndb);
-        arm_scrub ndb cluster;
-        db := ndb;
-        h := nh
+        resume ~cut:t_part r
       | _ ->
         (* No cluster to fail over to, or a blip shorter than the
            detection timeout: the node keeps running (volatile state is
            intact — only the raising task was discarded).  With a
            cluster attached, the blip still drops its sends for the
            window; the shipper re-covers the gap on later ticks. *)
-        (match cluster with
-        | Some c
-          when Strip_repl.Cluster.n_replicas c > 0 && heal_after_s > 0.0 ->
+        (match replicated with
+        | Some c when heal_after_s > 0.0 ->
           totals.t_partitions <- totals.t_partitions + 1;
-          Strip_repl.Cluster.begin_partition c ~now:t_part
-            ~heal_at:(t_part +. heal_after_s)
+          C.begin_partition c ~now:t_part ~heal_at:(t_part +. heal_after_s)
         | _ -> ()))
   done;
   (!db, !h, cluster)
 
 let run (cfg : config) =
-  (* Replication rides on the durability substrate: replicas bootstrap
-     from checkpoints and apply shipped WAL bytes, so a replicated run
-     without an explicit recovery config gets the default one. *)
-  let cfg =
-    match (cfg.recovery, cfg.repl) with
-    | None, Some r when r.replicas > 0 ->
-      { cfg with recovery = Some default_recovery }
-    (* A chaos schedule needs the durability layer and the crash-restart
-       drive loop to make sense of its events. *)
-    | None, _ when cfg.chaos <> [] ->
-      { cfg with recovery = Some default_recovery }
-    | _ -> cfg
-  in
-  (* Storage-fault events imply the storage substrate (scrubber +
-     retained checkpoint slots), exactly as chaos implies recovery. *)
-  let cfg =
-    if cfg.storage = None && List.exists is_storage_event cfg.chaos then
-      { cfg with storage = Some default_storage }
-    else cfg
-  in
+  let cfg = validate ~sharded:false cfg in
   let durable =
     Option.map
       (fun _ ->
@@ -844,35 +847,11 @@ let run (cfg : config) =
   in
   install_rules cfg db h;
   let quotes = Feed.generate cfg.feed in
-  let n_submitted =
-    Strip_ingest.Import.replay db
-      {
-        Strip_ingest.Import.stocks = h.Pta_tables.stocks;
-        by_symbol = h.Pta_tables.stocks_by_symbol;
-      }
-      quotes
-  in
-  ignore n_submitted;
+  ignore (Strip_ingest.Import.replay db (import_target h) quotes);
   Meter.reset ();
   Rule_manager.reset_stats (Strip_db.rules db);
   let acc = zero_acc () in
-  let totals =
-    {
-      t_crashes = 0;
-      t_partitions = 0;
-      t_promotions = [];
-      t_redo_commits = 0;
-      t_redo_ops = 0;
-      t_requeued = 0;
-      t_restored_rows = 0;
-      t_recovery_s = 0.0;
-      t_cp_fallbacks = 0;
-      t_salvaged_ranges = 0;
-      t_salvaged_bytes = 0;
-      t_quarantined_bytes = 0;
-      t_orphan_merges = 0;
-    }
-  in
+  let totals = zero_totals () in
   let scrub_stats =
     match cfg.storage with Some _ -> Some (Scrub.create ()) | None -> None
   in
@@ -950,17 +929,15 @@ let run (cfg : config) =
   in
   let db, h, cluster =
     match cfg.recovery with
-    | None -> (
-      (* Only reachable with zero replicas: a read pump with no shipping
+    | None ->
+      (* A cluster here has zero replicas: a read pump with no shipping
          needs no durability layer. *)
-      match mk_cluster db with
-      | None ->
-        Strip_db.run db;
-        (db, h, None)
-      | Some c ->
-        Strip_repl.Cluster.register_metrics c (Strip_db.metrics db);
-        run_with_reads ~cluster:(Some c) db;
-        (db, h, Some c))
+      let cluster = mk_cluster db in
+      Option.iter
+        (fun c -> Strip_repl.Cluster.register_metrics c (Strip_db.metrics db))
+        cluster;
+      run_with_reads ~cluster db;
+      (db, h, cluster)
     | Some rcfg ->
       drive cfg rcfg ~durable:(Option.get durable) ~quotes ~acc ~totals
         ~mk_cluster ~arm_scrub ~abandoned db h
@@ -988,28 +965,17 @@ let run (cfg : config) =
     match cfg.recovery with
     | None -> None
     | Some _ ->
-      (* Incrementally-maintained composites accumulate float increments,
-         so audit with the same tolerance the end-to-end verification
-         uses; anything past it is a real divergence worth repairing. *)
-      (* Audit only the view this run maintains: the other registered view
-         has no installed rule, so it is stale by design. *)
+      (* Composites accumulate float increments, so audit with the
+         end-to-end verification's tolerance.  Audit only the view this
+         run maintains: the other has no installed rule, so it is stale
+         by design. *)
       let eps = verify_tolerance cfg.rule in
       let views =
         match cfg.rule with
         | Comp_view _ -> [ "comp_prices" ]
         | Option_view _ -> [ "option_prices" ]
       in
-      let first = Auditor.audit ~eps ~views db in
-      let repairs =
-        if Auditor.clean first then 0
-        else begin
-          let n = Auditor.enqueue_repairs db first in
-          Strip_db.run db;
-          n
-        end
-      in
-      let final = if repairs = 0 then first else Auditor.audit ~eps ~views db in
-      Some (first, final, repairs)
+      Some (Auditor.audit_and_repair ~eps ~views db)
   in
   (* Close any violation window still open at end of run (audit repairs
      above were the last possible staleness samples). *)
@@ -1037,41 +1003,20 @@ let run (cfg : config) =
      single server drains its backlog long after the feed ends, and extra
      servers shrink that tail. *)
   let makespan_s = Clock.now (Strip_db.clock db) in
-  let n_recompute = acc.a_recompute + Strip_sim.Stats.n_recompute stats in
+  (* From here on [acc] covers every incarnation, the live one included. *)
+  accumulate acc db;
+  let n_recompute = acc.a_recompute in
   let recovery =
     (* After a failover the live durable store is the promoted replica's
        copy, not the one the run started with. *)
     match (cfg.recovery, Strip_db.durable db, recovery_audit) with
-    | Some _, Some d, Some (_first, final, repairs) ->
-      let w = Durable.wal d in
+    | Some _, Some d, Some (final, repairs) ->
       Some
-        {
-          n_crashes = totals.t_crashes;
-          n_checkpoints = Durable.n_checkpoints d;
-          checkpoint_bytes = Durable.last_checkpoint_bytes d;
-          wal_appends = Wal.n_appends w;
-          wal_fsyncs = Wal.n_fsyncs w;
-          wal_appended_bytes = Wal.appended_bytes w;
-          wal_overhead_s =
-            1e-6
-            *. Strip_sim.Cost_model.charge cfg.cost
-                 [
-                   ("wal_append", Meter.get "wal_append");
-                   ("wal_fsync", Meter.get "wal_fsync");
-                 ];
-          checkpoint_overhead_s =
-            1e-6
-            *. Strip_sim.Cost_model.charge cfg.cost
-                 [ ("checkpoint_row", Meter.get "checkpoint_row") ];
-          redo_commits = totals.t_redo_commits;
-          redo_ops = totals.t_redo_ops;
-          requeued = totals.t_requeued;
-          restored_rows = totals.t_restored_rows;
-          total_recovery_s = totals.t_recovery_s;
-          audit_clean = Auditor.clean final;
-          audit_divergences = List.length final.Auditor.divergences;
-          repairs;
-        }
+        (recovery_metrics cfg.cost ~durables:[ d ] ~totals
+           ~n_crashes:totals.t_crashes ~total_recovery_s:totals.t_recovery_s
+           ~audit_clean:(Auditor.clean final)
+           ~audit_divergences:(List.length final.Auditor.divergences)
+           ~repairs)
     | _ -> None
   in
   let repl =
@@ -1080,10 +1025,6 @@ let run (cfg : config) =
     | Some c ->
       let module C = Strip_repl.Cluster in
       let module R = Strip_repl.Replica in
-      let hist_summary h =
-        if Strip_obs.Histogram.count h = 0 then None
-        else Some (Strip_obs.Histogram.summary h)
-      in
       let n_reads = C.reads_issued c in
       let last_done = C.last_read_done c in
       Some
@@ -1098,7 +1039,7 @@ let run (cfg : config) =
           n_reads;
           reads_primary = C.reads_primary c;
           reads_replica = C.reads_replica c;
-          read_latency = hist_summary (C.read_latency c);
+          read_latency = merged_summary [ C.read_latency c ];
           read_throughput_per_s =
             (if last_done <= 0.0 then 0.0
              else float_of_int n_reads /. last_done);
@@ -1122,8 +1063,7 @@ let run (cfg : config) =
             merged_summary
               (List.init (C.n_replicas c) (fun i -> R.lag (C.replica c i)));
           cluster_lock_wait =
-            merged_summary
-              [ acc.a_lock_h; Strip_sim.Stats.lock_wait_hist stats ];
+            merged_summary [ acc.a_lock_h ];
           per_replica =
             List.init (C.n_replicas c) (fun i ->
                 let r = C.replica c i in
@@ -1135,7 +1075,7 @@ let run (cfg : config) =
                   r_reordered = R.n_reordered r;
                   r_bootstraps = R.n_bootstraps r;
                   r_reads = R.n_reads r;
-                  r_lag = hist_summary (R.lag r);
+                  r_lag = merged_summary [ R.lag r ];
                 });
         }
   in
@@ -1153,15 +1093,14 @@ let run (cfg : config) =
       in
       let sget f = match scrub_stats with Some s -> f s | None -> 0 in
       let salvage_s =
-        1e-6
-        *. Strip_sim.Cost_model.charge cfg.cost
-             [
-               ("scrub_pass", Meter.get "scrub_pass");
-               ("scrub_byte", Meter.get "scrub_byte");
-               ("salvage_attempt", Meter.get "salvage_attempt");
-               ("salvage_byte", Meter.get "salvage_byte");
-               ("quarantine_byte", Meter.get "quarantine_byte");
-             ]
+        metered_s cfg.cost
+          [
+            "scrub_pass";
+            "scrub_byte";
+            "salvage_attempt";
+            "salvage_byte";
+            "quarantine_byte";
+          ]
       in
       Some
         {
@@ -1210,9 +1149,8 @@ let run (cfg : config) =
     per_server_utilization =
       Strip_sim.Stats.per_server_utilization stats
         ~duration_s:(Float.max duration_s makespan_s);
-    n_lock_waits = acc.a_lock_waits + Strip_sim.Stats.n_lock_waits stats;
-    n_lock_timeouts =
-      acc.a_lock_timeouts + Strip_sim.Stats.n_lock_timeouts stats;
+    n_lock_waits = acc.a_lock_waits;
+    n_lock_timeouts = acc.a_lock_timeouts;
     lock_wait_s =
       (if Strip_sim.Stats.n_lock_waits stats = 0 then None
        else
@@ -1220,36 +1158,26 @@ let run (cfg : config) =
            (Strip_obs.Histogram.summary
               (Strip_sim.Stats.lock_wait_hist stats)));
     utilization = Strip_sim.Stats.utilization stats ~duration_s;
-    n_updates = acc.a_updates + Strip_sim.Stats.tasks_run stats Task.Update;
+    n_updates = acc.a_updates;
     n_recompute;
     mean_recompute_us = Strip_sim.Stats.mean_service_us stats Task.Recompute;
     p50_recompute_us = Strip_sim.Stats.service_percentile_us stats Task.Recompute 50.0;
     p90_recompute_us = Strip_sim.Stats.service_percentile_us stats Task.Recompute 90.0;
     p99_recompute_us = Strip_sim.Stats.service_percentile_us stats Task.Recompute 99.0;
     max_recompute_us = Strip_sim.Stats.max_service_us stats Task.Recompute;
-    busy_update_s =
-      (acc.a_busy_update_us +. Strip_sim.Stats.busy_us_of stats Task.Update)
-      *. 1e-6;
-    busy_recompute_s =
-      (acc.a_busy_recompute_us
-      +. Strip_sim.Stats.busy_us_of stats Task.Recompute)
-      *. 1e-6;
-    n_firings = acc.a_firings + Rule_manager.n_rule_firings (Strip_db.rules db);
-    n_merges = acc.a_merges + Rule_manager.n_merges (Strip_db.rules db);
-    context_switches = acc.a_ctxsw + Strip_sim.Stats.context_switches stats;
+    busy_update_s = acc.a_busy_update_us *. 1e-6;
+    busy_recompute_s = acc.a_busy_recompute_us *. 1e-6;
+    n_firings = acc.a_firings;
+    n_merges = acc.a_merges;
+    context_switches = acc.a_ctxsw;
     expected_fanout;
     verified;
     max_abs_error;
-    n_injected =
-      (acc.a_injected
-      +
-      match Strip_db.fault_injector db with
-      | Some fi -> Fault.total_injected fi
-      | None -> 0);
-    n_aborts = acc.a_aborts + Strip_sim.Stats.n_aborts stats;
-    n_retries = acc.a_retries + Strip_sim.Stats.n_retries stats;
-    n_sheds = acc.a_sheds + Strip_sim.Stats.n_sheds stats;
-    n_dead_letters = acc.a_dead + Strip_sim.Stats.n_dead_letters stats;
+    n_injected = acc.a_injected;
+    n_aborts = acc.a_aborts;
+    n_retries = acc.a_retries;
+    n_sheds = acc.a_sheds;
+    n_dead_letters = acc.a_dead;
     mean_recovery_s = Strip_sim.Stats.mean_recovery_s stats;
     staleness =
       List.map

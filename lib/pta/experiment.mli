@@ -166,7 +166,8 @@ type config = {
       (** partition the write path across N shard primaries
           ({!Shard_exp}).  [None] (the default) leaves {!run} untouched
           and byte-identical to unsharded builds; {!run} itself never
-          consults this field — dispatch through {!Shard_exp.dispatch}. *)
+          consults this field — dispatch through {!Shard_exp.dispatch}.
+          The sharded driver rejects what it cannot honour ({!validate}). *)
 }
 
 val default_config : rule_choice -> delay:float -> config
@@ -423,22 +424,24 @@ val verify_tolerance : rule_choice -> float
 (** Comparison tolerance: composites accumulate float increments;
     options are recomputed exactly. *)
 
+val validate : sharded:bool -> config -> config
+(** Make the implied sub-configs explicit: replicas and chaos imply
+    {!default_recovery}, storage chaos events imply {!default_storage},
+    and a [sharded] run is always durable.  Both drivers call it first.
+    @raise Invalid_argument naming the field when a [sharded] config asks
+    for what the sharded driver cannot honour: replicas or a read rate,
+    a chaos schedule, or a scheduled [recovery.crash_at]. *)
+
 (** {1 Shared driver machinery}
 
-    Exposed for {!Shard_exp}, which assembles the same {!metrics} record
-    from N shard primaries. *)
+    Exposed for {!Shard_exp}, which drives N shard primaries through the
+    same recovery bookkeeping and assembles the same {!metrics} record. *)
 
 val label_of : rule_choice -> string
 
 val max_error : (string * float) list -> (string * float) list -> float
 (** Worst absolute difference between two sorted [(name, value)]
     association lists; [infinity] on a key or cardinality mismatch. *)
-
-val merged_summary :
-  Strip_obs.Histogram.t list -> Strip_obs.Histogram.summary option
-(** Merge per-node histograms into one cluster-level summary row; [None]
-    when the merged histogram is empty.  Folds any number of lineages —
-    one primary plus its crash epochs, or N shard primaries. *)
 
 val mk_db :
   ?now:float ->
@@ -450,11 +453,27 @@ val mk_db :
     fault injector, observability); crashy drivers call it for every
     incarnation against the same durable store. *)
 
+val budget_fault :
+  config -> recovery_cfg -> spent:int -> Strip_txn.Fault.config option
+(** The fault config for a fresh instance: [config.fault], with crash and
+    partition rates zeroed once [spent] reaches [max_crashes]. *)
+
+val import_target : Pta_tables.handles -> Strip_ingest.Import.target
+
+val requote :
+  Strip_core.Strip_db.t ->
+  Pta_tables.handles ->
+  Strip_market.Feed.quote array ->
+  after:float ->
+  unit
+(** Resubmit the quotes strictly after a crash cut to a recovered
+    instance. *)
+
 (** Counters accumulated across the instances a crashy (or sharded) run
     burns through — a final instance's {!Strip_sim.Stats} only covers
     its own epoch.  Histograms and percentiles are not mergeable and
-    stay per-instance ([a_lock_h] is the exception: dead instances'
-    lock waits, merged for the cluster-wide row). *)
+    stay per-instance ([a_lock_h] is the exception: the instances' lock
+    waits, merged for the cluster-wide row). *)
 type acc = {
   mutable a_updates : int;
   mutable a_recompute : int;
@@ -478,3 +497,26 @@ val zero_acc : unit -> acc
 val accumulate : acc -> Strip_core.Strip_db.t -> unit
 (** Fold one instance's engine stats, rule-manager counters and fault
     injections into [acc]. *)
+
+type rec_totals
+(** Recovery work summed over every crash of one run. *)
+
+val zero_totals : unit -> rec_totals
+
+val add_recovery : rec_totals -> Strip_core.Recovery.stats -> unit
+(** Fold one recovery's redo, requeue, restore and salvage counts into
+    the totals. *)
+
+val recovery_metrics :
+  Strip_sim.Cost_model.t ->
+  durables:Strip_txn.Durable.t list ->
+  totals:rec_totals ->
+  n_crashes:int ->
+  total_recovery_s:float ->
+  audit_clean:bool ->
+  audit_divergences:int ->
+  repairs:int ->
+  recovery_metrics
+(** The recovery report: log and checkpoint counts summed over
+    [durables] (the stores still in service), the modeled WAL and
+    checkpoint overhead, and the redo work in [totals]. *)

@@ -22,6 +22,8 @@ let run (cfg : config) : metrics =
   in
   let n = scfg.shards in
   if n < 1 then invalid_arg "Shard_exp.run: shards must be >= 1";
+  let cfg = validate ~sharded:true cfg in
+  let rcfg = Option.get cfg.recovery in
   (* Multi-engine determinism: the task/span id wells are global, so an
      in-process re-run must restart them from the same origin or every
      id (and thus every trace byte) shifts. *)
@@ -29,9 +31,6 @@ let run (cfg : config) : metrics =
   let part = Strip_shard.Partitioner.create ~shards:n in
   let owner_sym = Strip_shard.Partitioner.shard_of_symbol part in
   let owner_comp = Strip_shard.Partitioner.shard_of_comp part in
-  let rcfg = Option.value cfg.recovery ~default:default_recovery in
-  (* Sharded runs are always durable: the partial-delta protocol's
-     exactly-once guarantee rests on Shard_* WAL records. *)
   let retain = match cfg.storage with Some s -> max 1 s.retain | None -> 1 in
   let durables =
     Array.init n (fun _ -> Strip_txn.Durable.create ~retain ())
@@ -75,48 +74,26 @@ let run (cfg : config) : metrics =
              (fun (q : Feed.quote) -> owner_sym (Taq.symbol q.Feed.stock) = i)
              (Array.to_seq quotes)))
   in
-  let feed_of i =
-    {
-      Strip_ingest.Import.stocks = handles.(i).Pta_tables.stocks;
-      by_symbol = handles.(i).Pta_tables.stocks_by_symbol;
-    }
-  in
   Array.iteri
     (fun i db ->
-      ignore (Strip_ingest.Import.replay db (feed_of i) shard_quotes.(i)))
+      ignore
+        (Strip_ingest.Import.replay db (import_target handles.(i))
+           shard_quotes.(i)))
     dbs;
   Meter.reset ();
   Array.iter (fun db -> Rule_manager.reset_stats (Strip_db.rules db)) dbs;
-  (* Shared crash budget across all shards, same policy as the
-     single-primary drive: past [max_crashes] restarts, fresh instances
-     get zeroed crash/partition rates so a hostile seed converges. *)
+  (* One crash budget across all shards: every fresh instance spends
+     from it. *)
   let restarts = ref 0 in
-  let budget_fault () =
-    if !restarts >= rcfg.max_crashes then
-      Option.map
-        (fun (c : Strip_txn.Fault.config) ->
-          {
-            c with
-            Strip_txn.Fault.rates =
-              {
-                c.Strip_txn.Fault.rates with
-                Strip_txn.Fault.crash = 0.0;
-                partition = 0.0;
-              };
-          })
-        cfg.fault
-    else cfg.fault
-  in
-  let redo_commits = ref 0
-  and redo_ops = ref 0
-  and requeued = ref 0
-  and restored_rows = ref 0 in
+  let totals = zero_totals () in
   let cb =
     {
       Coordinator.remake =
         (fun ~sid ~now ->
           incr restarts;
-          mk_db ~now ~durable:durables.(sid) ?fault:(budget_fault ()) cfg);
+          mk_db ~now ~durable:durables.(sid)
+            ?fault:(budget_fault cfg rcfg ~spent:!restarts)
+            cfg);
       reinstall =
         (fun ~sid ndb ->
           let hh = Pta_tables.reattach ndb in
@@ -127,21 +104,10 @@ let run (cfg : config) : metrics =
           match cfg.rule with
           | Comp_view _ -> Comp_rules.apply_partial handles.(sid) txn ~key ~delta
           | Option_view _ -> ());
-      requote =
-        (fun ~sid ndb ~after ->
-          let rest =
-            Array.of_seq
-              (Seq.filter
-                 (fun (q : Feed.quote) -> q.Feed.time > after)
-                 (Array.to_seq shard_quotes.(sid)))
-          in
-          ignore (Strip_ingest.Import.replay ndb (feed_of sid) rest));
-      recovered =
-        (fun ~sid:_ _ndb (rs : Recovery.stats) ->
-          redo_commits := !redo_commits + rs.Recovery.redo_commits;
-          redo_ops := !redo_ops + rs.Recovery.redo_ops;
-          requeued := !requeued + rs.Recovery.requeued;
-          restored_rows := !restored_rows + rs.Recovery.restored_rows);
+      resume =
+        (fun ~sid ndb ~after rs ->
+          requote ndb handles.(sid) shard_quotes.(sid) ~after;
+          add_recovery totals rs);
     }
   in
   let ccfg =
@@ -177,49 +143,27 @@ let run (cfg : config) : metrics =
   in
   let sum f = Array.fold_left (fun t a -> t + f a) 0 per_acc in
   let sumf f = Array.fold_left (fun t a -> t +. f a) 0.0 per_acc in
-  let sum_sh f =
-    let t = ref 0 in
-    for i = 0 to n - 1 do
-      t := !t + f i
-    done;
-    !t
-  in
-  let sum_shf f =
-    let t = ref 0.0 in
-    for i = 0 to n - 1 do
-      t := !t +. f i
-    done;
-    !t
-  in
   let eps = verify_tolerance cfg.rule in
   (* Per-shard audit: only views with a locally-complete definition are
      auditable in place.  The sharded [comp_prices] is a plain partition
      (its members live everywhere), so composites are judged by the
      cross-shard pass below instead. *)
-  let per_shard_clean = ref true in
-  let audit_divs = ref 0 and repairs_total = ref 0 in
-  (match cfg.rule with
-  | Option_view _ ->
-    Array.iter
-      (fun db ->
-        let views = [ "option_prices" ] in
-        let first = Auditor.audit ~eps ~views db in
-        let repairs =
-          if Auditor.clean first then 0
-          else begin
-            let r = Auditor.enqueue_repairs db first in
-            Strip_db.run db;
-            r
-          end
-        in
-        let final =
-          if repairs = 0 then first else Auditor.audit ~eps ~views db
-        in
-        repairs_total := !repairs_total + repairs;
-        audit_divs := !audit_divs + List.length final.Auditor.divergences;
-        if not (Auditor.clean final) then per_shard_clean := false)
-      finals
-  | Comp_view _ -> ());
+  let shard_audits =
+    match cfg.rule with
+    | Option_view _ ->
+      Array.to_list finals
+      |> List.map (Auditor.audit_and_repair ~eps ~views:[ "option_prices" ])
+    | Comp_view _ -> []
+  in
+  let per_shard_clean =
+    List.for_all (fun (r, _) -> Auditor.clean r) shard_audits
+  in
+  let audit_divs =
+    List.fold_left
+      (fun t (r, _) -> t + List.length r.Auditor.divergences)
+      0 shard_audits
+  in
+  let repairs_total = List.fold_left (fun t (_, n) -> t + n) 0 shard_audits in
   (* Cross-shard audit: recompute every composite from the union of all
      shards' base tables and compare against the union of the maintained
      partitions — the check no single shard can run alone. *)
@@ -252,7 +196,7 @@ let run (cfg : config) : metrics =
   in
   let cross_clean = cross_divergences = 0 in
   let verified, max_abs_error =
-    if cfg.verify then (Some (cross_clean && !per_shard_clean), cross_err)
+    if cfg.verify then (Some (cross_clean && per_shard_clean), cross_err)
     else (None, nan)
   in
   let open Strip_txn in
@@ -318,41 +262,19 @@ let run (cfg : config) : metrics =
     |> List.concat
     |> List.sort compare
   in
-  let n_crashes = sum_sh (fun i -> Coordinator.crashes coord i) in
-  let total_recovery_s = sum_shf (fun i -> Coordinator.recovery_s coord i) in
-  let sum_dur f = Array.fold_left (fun t d -> t + f d) 0 durables in
-  let sum_wal f =
-    Array.fold_left (fun t d -> t + f (Durable.wal d)) 0 durables
+  let n_crashes =
+    Array.fold_left ( + ) 0 (Array.init n (Coordinator.crashes coord))
+  in
+  let total_recovery_s =
+    Array.fold_left ( +. ) 0.0 (Array.init n (Coordinator.recovery_s coord))
   in
   let recovery =
     Some
-      {
-        n_crashes;
-        n_checkpoints = sum_dur Durable.n_checkpoints;
-        checkpoint_bytes = sum_dur Durable.last_checkpoint_bytes;
-        wal_appends = sum_wal Wal.n_appends;
-        wal_fsyncs = sum_wal Wal.n_fsyncs;
-        wal_appended_bytes = sum_wal Wal.appended_bytes;
-        wal_overhead_s =
-          1e-6
-          *. Strip_sim.Cost_model.charge cfg.cost
-               [
-                 ("wal_append", Meter.get "wal_append");
-                 ("wal_fsync", Meter.get "wal_fsync");
-               ];
-        checkpoint_overhead_s =
-          1e-6
-          *. Strip_sim.Cost_model.charge cfg.cost
-               [ ("checkpoint_row", Meter.get "checkpoint_row") ];
-        redo_commits = !redo_commits;
-        redo_ops = !redo_ops;
-        requeued = !requeued;
-        restored_rows = !restored_rows;
-        total_recovery_s;
-        audit_clean = cross_clean && !per_shard_clean;
-        audit_divergences = !audit_divs + cross_divergences;
-        repairs = !repairs_total;
-      }
+      (recovery_metrics cfg.cost ~durables:(Array.to_list durables) ~totals
+         ~n_crashes ~total_recovery_s
+         ~audit_clean:(cross_clean && per_shard_clean)
+         ~audit_divergences:(audit_divs + cross_divergences)
+         ~repairs:repairs_total)
   in
   let sh_rows =
     List.init n (fun i ->

@@ -457,56 +457,48 @@ let trace_promote t ~now ~(p : promotion) name =
         ]
       name
 
-let promote t ~now ~mk_db ~reinstall =
-  if Array.length t.replicas = 0 then begin
-    (* Graceful degradation: with no replica to elect, fall back to
-       crash-restart recovery from the dead primary's own durable store —
-       the same path an unreplicated run takes — instead of refusing. *)
-    let dur = primary_durable t in
-    let promoted_lsn = Wal.durable_end (Durable.wal dur) in
-    let ndb = mk_db dur in
-    let rs =
-      Recovery.recover ndb
-        ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
-        ~reinstall:(fun () -> reinstall ndb)
-    in
-    t.primary <- ndb;
-    open_epoch t ~winner_id:(-1);
-    let p = { promoted = -1; promoted_lsn; lost_bytes = 0; epoch = t.epoch } in
-    trace_promote t ~now ~p "promote";
-    (ndb, rs, p)
-  end
-  else begin
-    (* Everything already delivered counts; bytes on the wire die with the
-       primary's connections. *)
-    drain_all t ~now;
-    Array.iter Link.clear_in_flight t.links;
-    let winner = elect t in
-    let promoted_lsn = Replica.applied_lsn winner in
-    let old_end = Wal.durable_end (Durable.wal (primary_durable t)) in
-    let lost_bytes = max 0 (old_end - promoted_lsn) in
-    release_hold t;
-    let ndb = mk_db (Replica.durable winner) in
-    let rs =
-      Recovery.recover ndb
-        ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
-        ~reinstall:(fun () -> reinstall ndb)
-    in
-    t.primary <- ndb;
-    t.failovers <- t.failovers + 1;
-    t.lost <- t.lost + lost_bytes;
-    open_epoch t ~winner_id:(Replica.id winner);
-    let p =
-      {
-        promoted = Replica.id winner;
-        promoted_lsn;
-        lost_bytes;
-        epoch = t.epoch;
-      }
-    in
-    trace_promote t ~now ~p "promote";
-    (ndb, rs, p)
-  end
+(* One promotion body for both failure kinds.  A crashed primary's
+   in-flight sends die with it and its durable bytes past the winner's
+   frontier are lost.  A partitioned ([isolated]) primary is alive: what
+   it sent before the cut still arrives, and its divergent tail is
+   fenced at {!heal} rather than lost.  With no replica to elect, the
+   dead primary's own store is recovered in place. *)
+let promote_as ~isolated t ~now ~mk_db ~reinstall =
+  drain_all t ~now;
+  if not isolated then Array.iter Link.clear_in_flight t.links;
+  let old_db = t.primary and old_epoch = t.epoch in
+  let dur, promoted, promoted_lsn =
+    if Array.length t.replicas = 0 then begin
+      let d = primary_durable t in
+      (d, -1, Wal.durable_end (Durable.wal d))
+    end
+    else begin
+      let winner = elect t in
+      (Replica.durable winner, Replica.id winner, Replica.applied_lsn winner)
+    end
+  in
+  let lost_bytes =
+    if isolated then 0
+    else
+      max 0 (Wal.durable_end (Durable.wal (primary_durable t)) - promoted_lsn)
+  in
+  release_hold t;
+  let ndb = mk_db dur in
+  let rs =
+    Recovery.recover ndb
+      ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
+      ~reinstall:(fun () -> reinstall ndb)
+  in
+  t.primary <- ndb;
+  if promoted >= 0 then t.failovers <- t.failovers + 1;
+  t.lost <- t.lost + lost_bytes;
+  open_epoch t ~winner_id:promoted;
+  if isolated then t.isolated <- Some (old_db, old_epoch, promoted_lsn);
+  let p = { promoted; promoted_lsn; lost_bytes; epoch = t.epoch } in
+  trace_promote t ~now ~p (if isolated then "promote_isolated" else "promote");
+  (ndb, rs, p)
+
+let promote = promote_as ~isolated:false
 
 let begin_partition t ~now ~heal_at =
   if heal_at <= now then invalid_arg "Cluster.begin_partition: empty window";
@@ -517,38 +509,10 @@ let begin_partition t ~now ~heal_at =
         ~until_s:heal_at)
     t.links
 
-let promote_isolated t ~now ~mk_db ~reinstall =
+let promote_isolated t =
   if Array.length t.replicas = 0 then
     invalid_arg "Cluster.promote_isolated: no replicas";
-  (* The old primary is alive behind the partition: messages it launched
-     before the cut still arrive (so drain, but keep the wire), and no
-     byte is lost yet — its divergent tail is fenced when the partition
-     heals, not counted as promotion loss. *)
-  drain_all t ~now;
-  let old_db = t.primary and old_epoch = t.epoch in
-  release_hold t;
-  let winner = elect t in
-  let promoted_lsn = Replica.applied_lsn winner in
-  let ndb = mk_db (Replica.durable winner) in
-  let rs =
-    Recovery.recover ndb
-      ~salvage:(fun ~from_lsn ~len -> fetch_clean t ~from_lsn ~len)
-      ~reinstall:(fun () -> reinstall ndb)
-  in
-  t.primary <- ndb;
-  t.failovers <- t.failovers + 1;
-  open_epoch t ~winner_id:(Replica.id winner);
-  t.isolated <- Some (old_db, old_epoch, promoted_lsn);
-  let p =
-    {
-      promoted = Replica.id winner;
-      promoted_lsn;
-      lost_bytes = 0;
-      epoch = t.epoch;
-    }
-  in
-  trace_promote t ~now ~p "promote_isolated";
-  (ndb, rs, p)
+  promote_as ~isolated:true t
 
 let heal t ~now =
   match t.isolated with

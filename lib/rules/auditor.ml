@@ -154,6 +154,15 @@ let enqueue_repairs db report =
     report.divergences;
   List.length report.divergences
 
+let audit_and_repair ?eps ?views db =
+  let first = audit ?eps ?views db in
+  if clean first then (first, 0)
+  else begin
+    let repairs = enqueue_repairs db first in
+    Strip_db.run db;
+    (audit ?eps ?views db, repairs)
+  end
+
 let pp_report ppf r =
   if clean r then
     Format.fprintf ppf "audit clean: %d views, %d rows"

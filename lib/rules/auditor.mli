@@ -43,4 +43,10 @@ val enqueue_repairs : Strip_db.t -> report -> int
     recomputed ones.  Returns the number of repairs enqueued; drain with
     {!Strip_db.run} and re-audit. *)
 
+val audit_and_repair :
+  ?eps:float -> ?views:string list -> Strip_db.t -> report * int
+(** Audit; if anything diverges, enqueue the repairs, drain them and
+    audit again.  Returns the final report and the number of repairs
+    enqueued (0 when the first audit was clean). *)
+
 val pp_report : Format.formatter -> report -> unit

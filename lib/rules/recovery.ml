@@ -252,6 +252,25 @@ let recover ?salvage db ~reinstall =
     orphan_merges = !orphan_merges;
   }
 
+(* A rate-driven crash can also fire mid-recovery (the post-recovery
+   checkpoint is a crash site): retry on yet another fresh instance —
+   the durable state is untouched until that checkpoint installs.  The
+   metered work of every attempt is the modeled downtime. *)
+let restart ~cost ~on_crash attempt =
+  let before = Meter.snapshot () in
+  let rec go () =
+    match attempt () with
+    | r -> r
+    | exception Fault.Crashed _ ->
+      on_crash ();
+      go ()
+  in
+  let ndb, r = go () in
+  let work = Meter.diff before (Meter.snapshot ()) in
+  let rec_s = 1e-6 *. Strip_sim.Cost_model.charge cost work in
+  Clock.advance_by (Strip_db.clock ndb) rec_s;
+  (ndb, r, rec_s)
+
 let pp_stats ppf s =
   Format.fprintf ppf
     "restored %d tables / %d rows; redo %d commits / %d ops; requeued %d \

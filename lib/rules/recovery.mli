@@ -60,4 +60,16 @@ val recover : ?salvage:salvage -> Strip_db.t -> reinstall:(unit -> unit) -> stat
     slot fails its CRC.
     @raise Failure if a redo image does not match the restored state. *)
 
+val restart :
+  cost:Strip_sim.Cost_model.t ->
+  on_crash:(unit -> unit) ->
+  (unit -> Strip_db.t * 'a) ->
+  Strip_db.t * 'a * float
+(** Replace a crashed instance: [attempt] brings up a fresh one and
+    recovers it (in place, or by promoting a replica), and is retried
+    after [on_crash] (the caller condemns and counts) whenever
+    {!Strip_txn.Fault.Crashed} escapes it.  The metered work of every
+    attempt is charged through [cost] as downtime: the recovered
+    instance's clock advances by it, and it is returned in seconds. *)
+
 val pp_stats : Format.formatter -> stats -> unit

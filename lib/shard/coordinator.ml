@@ -22,8 +22,7 @@ type callbacks = {
     key:Value.t list ->
     delta:float ->
     unit;
-  requote : sid:int -> Strip_db.t -> after:float -> unit;
-  recovered : sid:int -> Strip_db.t -> Recovery.stats -> unit;
+  resume : sid:int -> Strip_db.t -> after:float -> Recovery.stats -> unit;
 }
 
 type unacked = { p : Partial.t; mutable last_sent : float }
@@ -203,24 +202,19 @@ let handle_crash t sh =
       invalid_arg "Coordinator: crashed shard has no durability layer"
   in
   let st = scan_state dur in
-  let before = Meter.snapshot () in
-  let rec restart () =
-    let ndb = t.cb.remake ~sid:sh.sid ~now:t_crash in
-    match
-      Recovery.recover ndb ~reinstall:(fun () ->
-          t.cb.reinstall ~sid:sh.sid ndb)
-    with
-    | stats -> (ndb, stats)
-    | exception Fault.Crashed _ ->
-      (* crashed again mid-recovery — condemn and retry from durable state *)
-      Strip_db.crash ndb;
-      sh.prior <- ndb :: sh.prior;
-      restart ()
+  let fresh = ref sh.db in
+  let ndb, stats, rec_s =
+    Recovery.restart ~cost:t.cfg.cost
+      ~on_crash:(fun () ->
+        (* crashed again mid-recovery — condemn and retry from durable state *)
+        Strip_db.crash !fresh;
+        sh.prior <- !fresh :: sh.prior)
+      (fun () ->
+        let ndb = t.cb.remake ~sid:sh.sid ~now:t_crash in
+        fresh := ndb;
+        let reinstall () = t.cb.reinstall ~sid:sh.sid ndb in
+        (ndb, Recovery.recover ndb ~reinstall))
   in
-  let ndb, stats = restart () in
-  let after = Meter.snapshot () in
-  let rec_s = 1e-6 *. Strip_sim.Cost_model.charge t.cfg.cost (Meter.diff before after) in
-  Clock.advance_by (Strip_db.clock ndb) rec_s;
   Strip_sim.Stats.record_crash (Strip_db.stats ndb) ~recovery_s:rec_s;
   sh.prior <- sh.db :: sh.prior;
   sh.db <- ndb;
@@ -246,12 +240,11 @@ let handle_crash t sh =
   List.iter
     (fun key -> submit_apply t sh ~key ~ctx:None)
     (Dqueue.pending_keys sh.dq);
-  t.cb.requote ~sid:sh.sid ndb ~after:t_crash;
+  t.cb.resume ~sid:sh.sid ndb ~after:t_crash stats;
   (* Recovery's final checkpoint truncated the log; put the protocol
      baseline back so a second crash still finds it. *)
   append_state sh;
-  sh.last_cp <- Strip_db.now ndb;
-  t.cb.recovered ~sid:sh.sid ndb stats
+  sh.last_cp <- Strip_db.now ndb
 
 let rec run_guarded t sh ~until =
   try Strip_db.run ~until sh.db with

@@ -38,17 +38,16 @@
 
     {2 Crash handling}
 
-    A shard primary that crashes is restarted {e in place} (recovered
-    from its own WAL + checkpoint), not failed over: an unshipped
-    [Shard_out] tail is durable only in the primary's log, so promoting
-    a replica that never saw those bytes could silently lose committed
-    partials.  Recovery scans the log {e before}
+    A shard primary that crashes is restarted {e in place} from its own
+    WAL + checkpoint ({!Strip_core.Recovery.restart}), not failed over:
+    an unshipped [Shard_out] tail is durable only in the primary's log,
+    so promoting a replica that never saw those bytes could silently
+    lose committed partials.  Recovery scans the log {e before}
     {!Strip_core.Recovery.recover} truncates it ({!scan_state} rebuilds
     the dedup set, pending merges, unacked ships and the per-stream
     sequence counters from [Shard_state] + subsequent records), re-ships
-    everything
-    unacknowledged, resubmits an apply task per pending key, and
-    appends a fresh [Shard_state] past the recovery checkpoint's
+    everything unacknowledged, resubmits an apply task per pending key,
+    and appends a fresh [Shard_state] past the recovery checkpoint's
     truncation point. *)
 
 type config = {
@@ -75,10 +74,14 @@ type callbacks = {
     delta:float ->
     unit;
       (** fold a merged partial delta into shard [sid]'s composite row *)
-  requote : sid:int -> Strip_core.Strip_db.t -> after:float -> unit;
-      (** resubmit the shard's undelivered feed updates after a crash *)
-  recovered : sid:int -> Strip_core.Strip_db.t -> Strip_core.Recovery.stats -> unit;
-      (** post-recovery hook (e.g. rebuild the shard's replica set) *)
+  resume :
+    sid:int ->
+    Strip_core.Strip_db.t ->
+    after:float ->
+    Strip_core.Recovery.stats ->
+    unit;
+      (** after a restart: resubmit the shard's feed updates past the
+          crash cut and account the recovery's work *)
 }
 
 type t

@@ -817,14 +817,87 @@ let test_experiment_crash_recovery () =
   Alcotest.(check (option bool)) "view verified against recomputation"
     (Some true) m.Experiment.verified
 
+(* Rate-driven crashes (with the post-recovery checkpoint as a crash
+   site, so recovery itself can be felled and retried), optionally
+   resolved by failover to one of [replicas] replicas. *)
+let crash_rate_cfg ~replicas () =
+  let cfg = crashy_cfg () in
+  let fault =
+    {
+      Fault.default_config with
+      Fault.seed = 7;
+      rates = { Fault.default_config.Fault.rates with Fault.crash = 0.01 };
+    }
+  in
+  {
+    cfg with
+    Experiment.fault = Some fault;
+    recovery =
+      Some
+        {
+          Experiment.default_recovery with
+          Experiment.checkpoint_every = Some 5.0;
+        };
+    repl =
+      (if replicas = 0 then None
+       else
+         Some
+           {
+             Experiment.default_repl with
+             Experiment.replicas;
+             read_rate = 50.0;
+           });
+  }
+
 let test_experiment_crash_determinism () =
-  Task.reset_ids ();
-  let a = Experiment.run (crashy_cfg ()) in
-  Task.reset_ids ();
-  let b = Experiment.run (crashy_cfg ()) in
-  Alcotest.(check string) "same seed, same crash, byte-identical metrics"
-    (Strip_obs.Json.to_string (Report.metrics_json a))
-    (Strip_obs.Json.to_string (Report.metrics_json b))
+  List.iter
+    (fun (name, mk) ->
+      Task.reset_ids ();
+      let a = Experiment.run (mk ()) in
+      Task.reset_ids ();
+      let b = Experiment.run (mk ()) in
+      Alcotest.(check string)
+        (name ^ ": same seed, same crashes, byte-identical metrics")
+        (Strip_obs.Json.to_string (Report.metrics_json a))
+        (Strip_obs.Json.to_string (Report.metrics_json b));
+      match a.Experiment.recovery with
+      | Some r ->
+        Alcotest.(check bool) (name ^ ": crashed") true
+          (r.Experiment.n_crashes > 0);
+        Alcotest.(check bool) (name ^ ": audit clean") true
+          r.Experiment.audit_clean
+      | None -> Alcotest.fail (name ^ ": recovery metrics missing"))
+    [
+      ("scheduled crash", crashy_cfg);
+      ("crash rate", crash_rate_cfg ~replicas:0);
+      ("crash rate, 2 replicas", crash_rate_cfg ~replicas:2);
+    ]
+
+(* The one crash-replacement path: an attempt felled twice mid-recovery
+   is retried until the third succeeds, the caller's hook sees each
+   crash, and the downtime charged covers the work of all three. *)
+let test_restart_retries_mid_recovery_crashes () =
+  let cost = Strip_sim.Cost_model.create [ ("recovery_redo_op", 10.0) ] in
+  let db = Strip_db.create () in
+  let t0 = Strip_db.now db in
+  let attempts = ref 0 and crashes = ref 0 in
+  let ndb, result, rec_s =
+    Recovery.restart ~cost
+      ~on_crash:(fun () -> incr crashes)
+      (fun () ->
+        incr attempts;
+        (* attempt k does k units of metered recovery work *)
+        Meter.tick_n "recovery_redo_op" !attempts;
+        if !attempts < 3 then raise (Fault.Crashed { at = "recovery" });
+        (db, !attempts))
+  in
+  Alcotest.(check int) "the third attempt's result" 3 result;
+  Alcotest.(check bool) "its instance" true (ndb == db);
+  Alcotest.(check int) "crash hook once per escape" 2 !crashes;
+  Alcotest.(check (float 1e-12)) "work of all three attempts charged"
+    (1e-6 *. 10.0 *. 6.0) rec_s;
+  Alcotest.(check (float 1e-12)) "downtime advances the clock" (t0 +. rec_s)
+    (Strip_db.now db)
 
 let test_crash_free_run_has_no_recovery_surface () =
   Task.reset_ids ();
@@ -980,5 +1053,7 @@ let suite =
           test_experiment_crash_determinism;
         Alcotest.test_case "crash-free runs expose no recovery surface" `Slow
           test_crash_free_run_has_no_recovery_surface;
+        Alcotest.test_case "mid-recovery crashes retry and charge every attempt"
+          `Quick test_restart_retries_mid_recovery_crashes;
       ] );
   ]

@@ -476,15 +476,97 @@ let test_partition_union () =
   in
   Alcotest.(check bool) "comp seeds agree" true (worst < 1e-9)
 
-let test_sharded_determinism () =
-  let mk () =
-    Shard_exp.dispatch
-      (sharded_cfg ~shards:2
-         (Experiment.Comp_view Comp_rules.Unique_coarse)
-         ~delay:2.0)
+(* Rate-driven crashes on 4 shards: restarts in place, retried when
+   recovery itself is felled, until the shared crash budget runs out. *)
+let crash_rate_cfg () =
+  let cfg =
+    sharded_cfg ~shards:4
+      (Experiment.Comp_view Comp_rules.Unique_on_comp)
+      ~delay:1.0
   in
-  let a = fingerprint (mk ()) and b = fingerprint (mk ()) in
-  Alcotest.(check bool) "re-run is identical in-process" true (a = b)
+  let fault =
+    {
+      Fault.default_config with
+      Fault.seed = 7;
+      rates = { Fault.default_config.Fault.rates with Fault.crash = 0.001 };
+    }
+  in
+  { cfg with Experiment.fault = Some fault }
+
+let test_sharded_determinism () =
+  List.iter
+    (fun (name, cfg, crashy) ->
+      let a = Shard_exp.dispatch cfg and b = Shard_exp.dispatch cfg in
+      Alcotest.(check bool)
+        (name ^ ": re-run is identical in-process")
+        true
+        (fingerprint a = fingerprint b);
+      Alcotest.(check string)
+        (name ^ ": byte-identical metrics")
+        (Strip_obs.Json.to_string (Report.metrics_json a))
+        (Strip_obs.Json.to_string (Report.metrics_json b));
+      match a.Experiment.recovery with
+      | Some r ->
+        Alcotest.(check bool) (name ^ ": audit clean") true
+          r.Experiment.audit_clean;
+        if crashy then
+          Alcotest.(check bool) (name ^ ": crashed") true
+            (r.Experiment.n_crashes > 0)
+      | None -> Alcotest.fail (name ^ ": recovery metrics missing"))
+    [
+      ( "2 shards",
+        sharded_cfg ~shards:2
+          (Experiment.Comp_view Comp_rules.Unique_coarse)
+          ~delay:2.0,
+        false );
+      ("4 shards, crash rate", crash_rate_cfg (), true);
+    ]
+
+(* The sharded driver has no replicas, chaos loop or scheduled
+   single-primary crash: asking for one is an error naming the field,
+   not a silent drop. *)
+let test_sharded_rejects field edit () =
+  let cfg =
+    edit
+      (sharded_cfg ~shards:4
+         (Experiment.Comp_view Comp_rules.Unique_on_comp)
+         ~delay:1.0)
+  in
+  match Shard_exp.dispatch cfg with
+  | exception Invalid_argument msg ->
+    let n = String.length field in
+    let rec names i =
+      i + n <= String.length msg
+      && (String.sub msg i n = field || names (i + 1))
+    in
+    Alcotest.(check bool) (msg ^ " names " ^ field) true (names 0)
+  | _ -> Alcotest.fail ("sharded run accepted " ^ field)
+
+let rejected_fields =
+  let with_repl f (c : Experiment.config) =
+    { c with Experiment.repl = Some (f Experiment.default_repl) }
+  in
+  [
+    ( "repl.replicas",
+      with_repl (fun r ->
+          { r with Experiment.replicas = 2; read_rate = 0.0 }) );
+    ( "repl.read_rate",
+      with_repl (fun r ->
+          { r with Experiment.replicas = 0; read_rate = 50.0 }) );
+    ( "chaos",
+      fun c -> { c with Experiment.chaos = [ Experiment.Crash_at 1.0 ] } );
+    ( "recovery.crash_at",
+      fun c ->
+        {
+          c with
+          Experiment.recovery =
+            Some
+              {
+                Experiment.default_recovery with
+                Experiment.crash_at = Some 1.0;
+              };
+        } );
+  ]
 
 let test_shard_crash_recovery () =
   let cfg =
@@ -593,5 +675,10 @@ let suite =
           test_shard_crash_recovery;
         Alcotest.test_case "Shard_state size is constant in run length" `Slow
           test_shard_state_constant_size;
-      ] );
+      ]
+      @ List.map
+          (fun (field, edit) ->
+            Alcotest.test_case ("sharded config rejects " ^ field) `Quick
+              (test_sharded_rejects field edit))
+          rejected_fields );
   ]
