@@ -6,7 +6,11 @@ type kind = Hash | Ordered
 module Key = struct
   type t = Value.t list
 
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
+  let rec equal a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a', y :: b' -> Value.equal x y && equal a' b'
+    | _ -> false
 
   (* Fold the per-value hashes instead of materializing a list of them;
      keys equal under [equal] hash equal because [Value.hash] already
@@ -80,40 +84,83 @@ let add t r =
     tr := Rbtree.insert ~cmp key (r :: cur) !tr);
   t.count <- t.count + 1
 
+(* [l] without the first posting of record [rid], order kept.
+   @raise Not_found if no posting has that rid. *)
+let rec drop_rid rid = function
+  | [] -> raise Not_found
+  | (x : Record.t) :: rest -> if x.rid = rid then rest else x :: drop_rid rid rest
+
 let remove t r =
   Meter.tick_c c_index_update;
   let key = key_of_record t r in
-  let drop l =
-    let found = ref false in
-    let l' =
-      List.filter
-        (fun (x : Record.t) ->
-          if (not !found) && x.rid = r.rid then begin
-            found := true;
-            false
-          end
-          else true)
-        l
-    in
-    (!found, l')
-  in
   match t.store with
   | SHash h -> (
     match KeyTbl.find_opt h key with
     | None -> ()
-    | Some cell ->
-      let found, l' = drop !cell in
-      if found then t.count <- t.count - 1;
-      if l' = [] then KeyTbl.remove h key else cell := l')
+    | Some cell -> (
+      match drop_rid r.rid !cell with
+      | exception Not_found -> ()
+      | l' -> (
+        t.count <- t.count - 1;
+        match l' with [] -> KeyTbl.remove h key | _ -> cell := l')))
   | STree tr -> (
     match Rbtree.find ~cmp key !tr with
     | None -> ()
-    | Some l ->
-      let found, l' = drop l in
-      if found then t.count <- t.count - 1;
-      tr :=
-        (if l' = [] then Rbtree.remove ~cmp key !tr
-         else Rbtree.insert ~cmp key l' !tr))
+    | Some l -> (
+      match drop_rid r.rid l with
+      | exception Not_found -> ()
+      | l' ->
+        t.count <- t.count - 1;
+        tr :=
+          (match l' with
+          | [] -> Rbtree.remove ~cmp key !tr
+          | _ -> Rbtree.insert ~cmp key l' !tr)))
+
+let same_key t (a : Record.t) (b : Record.t) =
+  let n = Array.length t.icols in
+  let rec loop j =
+    j >= n
+    || Value.equal (Record.value a t.icols.(j)) (Record.value b t.icols.(j))
+       && loop (j + 1)
+  in
+  loop 0
+
+(* When the key is unchanged this is [remove old_rec; add new_rec] fused
+   into one probe: the old posting is dropped and the new version consed
+   at the head, the order the pair produces, with the same two ticks. *)
+let replace t ~old_rec ~new_rec =
+  if not (same_key t old_rec new_rec) then begin
+    remove t old_rec;
+    add t new_rec
+  end
+  else begin
+    Meter.tick_c c_index_update;
+    Meter.tick_c c_index_update;
+    let key = key_of_record t new_rec in
+    let without l =
+      match drop_rid old_rec.rid l with
+      | l' -> l'
+      | exception Not_found ->
+        t.count <- t.count + 1;
+        l
+    in
+    match t.store with
+    | SHash h -> (
+      match KeyTbl.find_opt h key with
+      | Some cell -> cell := new_rec :: without !cell
+      | None ->
+        t.count <- t.count + 1;
+        KeyTbl.add h key (ref [ new_rec ]))
+    | STree tr ->
+      let cur =
+        match Rbtree.find ~cmp key !tr with
+        | Some l -> without l
+        | None ->
+          t.count <- t.count + 1;
+          []
+      in
+      tr := Rbtree.insert ~cmp key (new_rec :: cur) !tr
+  end
 
 let lookup t key =
   Meter.tick_c c_index_probe;

@@ -30,6 +30,11 @@ val add : t -> Record.t -> unit
 val remove : t -> Record.t -> unit
 (** Removes this exact record (by rid) from its key's posting list. *)
 
+val replace : t -> old_rec:Record.t -> new_rec:Record.t -> unit
+(** [replace t ~old_rec ~new_rec] is [remove t old_rec; add t new_rec]:
+    same postings, same order, same two ["index_update"] ticks.  When the
+    key is unchanged it costs one probe instead of two. *)
+
 val lookup : t -> Value.t list -> Record.t list
 (** All records with exactly this key, unordered. *)
 

@@ -207,8 +207,14 @@ let split_equi ~left_arity pred =
 module VKey = struct
   type t = Value.t list
 
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash k = Hashtbl.hash (List.map Value.hash k)
+  let rec equal a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a', y :: b' -> Value.equal x y && equal a' b'
+    | _ -> false
+
+  (* As [Index.Key.hash]: fold, no list of hashes per call. *)
+  let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 5381 k
 end
 
 module VTbl = Hashtbl.Make (VKey)
@@ -641,7 +647,7 @@ let rec cexec cat ~env node : result =
     { r with xrows = take n r.xrows }
   | CDistinct sub ->
     let r = cexec cat ~env sub in
-    let seen = VTbl.create 64 in
+    let seen = VTbl.create (List.length r.xrows) in
     let xrows =
       List.filter
         (fun x ->
@@ -687,7 +693,7 @@ and cexec_join cat ~env (j : cjoin) =
       else begin
         (* unmetered hash build, then per-left-row probes that replay the
            modeled index path's ticks and posting order *)
-        let tbl = VTbl.create 256 in
+        let tbl = VTbl.create (Table.cardinal tb) in
         Table.iter tb (fun r ->
             let key = List.map (fun (_, jj) -> Record.value r jj) equi in
             let cur =
@@ -744,7 +750,7 @@ and cexec_join cat ~env (j : cjoin) =
     | JHash ->
       let lres = cexec cat ~env j.jl in
       let rres = cexec cat ~env j.jr in
-      let tbl = VTbl.create 256 in
+      let tbl = VTbl.create (List.length rres.xrows) in
       List.iter
         (fun rrow ->
           Meter.tick_c c_hash_build;
@@ -798,7 +804,7 @@ and cexec_group cat ~env (g : cgroup) =
 
     let make () = { n = 0; fsum = 0.0; v = Value.Null }
   end in
-  let groups = VTbl.create 64 in
+  let groups = VTbl.create (List.length r.xrows) in
   let group_order = ref [] in
   List.iter
     (fun x ->
@@ -922,7 +928,7 @@ let partition r ~cols =
         | exception Schema.Ambiguous c -> plan_error "partition: ambiguous column %s" c)
       cols
   in
-  let tbl = VTbl.create 64 in
+  let tbl = VTbl.create (List.length r.xrows) in
   let order = ref [] in
   List.iter
     (fun x ->

@@ -8,7 +8,7 @@ let c_update_cursor = Meter.counter "update_cursor"
 let c_update_record = Meter.counter "update_record"
 
 type node = {
-  record : Record.t;
+  mutable record : Record.t;  (* the live version of one logical row *)
   mutable prev : node option;
   mutable next : node option;
 }
@@ -18,7 +18,7 @@ type t = {
   tschema : Schema.t;
   mutable first : node option;
   mutable last : node option;
-  nodes : (int, node) Hashtbl.t;  (* rid -> node, for O(1) unlink *)
+  nodes : (int, node) Hashtbl.t;  (* Record.base -> node: one per logical row *)
   mutable tindexes : Index.t list;
   mutable ixgen : int;  (* bumped whenever the index list changes *)
   mutable gen : int;  (* bumped by every mutation: rows or indexes *)
@@ -100,26 +100,9 @@ let link_last t node =
     l.next <- Some node;
     node.prev <- Some l;
     t.last <- Some node);
-  (* rids are unique, so the new binding cannot shadow an existing one *)
-  Hashtbl.add t.nodes node.record.Record.rid node;
+  (* a fresh record's base is its own rid, so the binding cannot shadow one *)
+  Hashtbl.add t.nodes node.record.Record.base node;
   t.count <- t.count + 1;
-  t.gen <- t.gen + 1
-
-(* Splice [node] into [old_node]'s list position; [old_node] is detached.
-   Must run before anything clears [old_node]'s links. *)
-let replace_node t ~old_node node =
-  node.prev <- old_node.prev;
-  node.next <- old_node.next;
-  (match old_node.prev with
-  | None -> t.first <- Some node
-  | Some p -> p.next <- Some node);
-  (match old_node.next with
-  | None -> t.last <- Some node
-  | Some nx -> nx.prev <- Some node);
-  old_node.prev <- None;
-  old_node.next <- None;
-  Hashtbl.remove t.nodes old_node.record.Record.rid;
-  Hashtbl.replace t.nodes node.record.Record.rid node;
   t.gen <- t.gen + 1
 
 let unlink t node =
@@ -131,14 +114,16 @@ let unlink t node =
   | Some nx -> nx.prev <- node.prev);
   node.prev <- None;
   node.next <- None;
-  Hashtbl.remove t.nodes node.record.Record.rid;
+  Hashtbl.remove t.nodes node.record.Record.base;
   t.count <- t.count - 1;
   t.gen <- t.gen + 1
 
+(* The node is found by logical row, so a superseded version must be
+   told apart from the live one by identity. *)
 let node_of t (r : Record.t) =
-  match Hashtbl.find_opt t.nodes r.Record.rid with
-  | Some n -> n
-  | None ->
+  match Hashtbl.find_opt t.nodes r.Record.base with
+  | Some n when n.record == r -> n
+  | _ ->
     invalid_arg
       (Printf.sprintf "table %s: record %d is not live here" t.tname
          r.Record.rid)
@@ -155,15 +140,11 @@ let insert t values =
 let update t old values =
   check_row t values;
   Meter.tick_c c_update_record;
-  let old_node = node_of t old in
+  let node = node_of t old in
   let r = Record.create_version ~base:old.Record.base values in
-  let node = { record = r; prev = None; next = None } in
-  replace_node t ~old_node node;
-  List.iter
-    (fun idx ->
-      Index.remove idx old;
-      Index.add idx r)
-    t.tindexes;
+  node.record <- r;
+  t.gen <- t.gen + 1;
+  List.iter (fun idx -> Index.replace idx ~old_rec:old ~new_rec:r) t.tindexes;
   Record.retire old;
   r
 

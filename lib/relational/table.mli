@@ -2,14 +2,17 @@
 
     A standard table is a linked list of fixed-layout records plus any number
     of secondary indexes (hash or red-black).  Updates are versioned: the new
-    record replaces the old one at the same list position, the old record is
-    retired and survives only while pinned by temporary tables.
+    record takes the old one's place in the same list node, the old record
+    is retired and survives only while pinned by temporary tables.
 
     Cursors are the primitive access path measured in the paper's Table 1:
     open / fetch / update / delete / close, each ticking its meter counter.
     A full-scan cursor walks the list; an index cursor walks the matching
     records of one key.  Cursors capture their successor before yielding a
-    record, so updating or deleting through the cursor is safe.
+    record, so updating or deleting through the cursor is safe.  A row
+    keeps its list node across versions, so a full-scan cursor whose next
+    row is updated by another call fetches the new version and goes on to
+    the end of the table.
 
     This module is transaction-agnostic; locking and logging are layered on
     top by {!Strip_txn.Transaction}. *)
@@ -52,9 +55,10 @@ val insert : t -> Value.t array -> Record.t
 (** Append a record.  @raise Invalid_argument on schema mismatch. *)
 
 val update : t -> Record.t -> Value.t array -> Record.t
-(** [update t old values] links a fresh record in place of [old] and retires
+(** [update t old values] puts a fresh record in [old]'s place and retires
     [old] (§6.1 versioning).  Returns the new record.
-    @raise Invalid_argument if [old] is not live in [t]. *)
+    @raise Invalid_argument if [old] is not live in [t], which includes a
+    version that a later update has superseded. *)
 
 val delete : t -> Record.t -> unit
 (** Unlink and retire a record.  @raise Invalid_argument if not live. *)

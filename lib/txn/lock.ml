@@ -22,6 +22,8 @@ type entry = {
 type t = {
   entries : (resource, entry) Hashtbl.t;
   owned : (int, resource list ref) Hashtbl.t;
+  queued : (int, resource list ref) Hashtbl.t;
+      (* owner -> resources it waits on, so a release visits only those *)
   (* Deferred release (multi-server simulation): while [defer] is on, a
      committing owner's locks are kept in place as "zombie" holders — the
      transaction is over in real execution order but its simulated commit
@@ -36,6 +38,7 @@ let create () =
   {
     entries = Hashtbl.create 256;
     owned = Hashtbl.create 32;
+    queued = Hashtbl.create 8;
     defer = false;
     deferred = [];
   }
@@ -58,12 +61,12 @@ let entry_of t res =
     Hashtbl.add t.entries res e;
     e
 
-let owned_of t owner =
-  match Hashtbl.find_opt t.owned owner with
+let list_of tbl owner =
+  match Hashtbl.find_opt tbl owner with
   | Some l -> l
   | None ->
     let l = ref [] in
-    Hashtbl.add t.owned owner l;
+    Hashtbl.add tbl owner l;
     l
 
 let mode_leq a b =
@@ -94,18 +97,25 @@ let creates_cycle edges from to_ =
   in
   reachable [] to_
 
+(* Strongest mode [owner] holds in [e]. *)
+let held_in e owner =
+  let rec loop acc = function
+    | [] -> acc
+    | (o, m) :: rest ->
+      if o <> owner then loop acc rest
+      else if m = X then Some X
+      else loop (Some S) rest
+  in
+  loop None e.lholders
+
 let holds t ~owner res =
   match Hashtbl.find_opt t.entries res with
   | None -> None
-  | Some e -> (
-    let modes = List.filter_map (fun (o, m) -> if o = owner then Some m else None) e.lholders in
-    match modes with
-    | [] -> None
-    | l -> if List.mem X l then Some X else Some S)
+  | Some e -> held_in e owner
 
-let acquire t ~owner res mode =
+let acquire ?(on_first_x = ignore) t ~owner res mode =
   let e = entry_of t res in
-  match holds t ~owner res with
+  match held_in e owner with
   | Some held when mode_leq mode held -> Granted
   | held_opt ->
     let conflicting =
@@ -122,8 +132,9 @@ let acquire t ~owner res mode =
           List.map (fun (o, m) -> if o = owner then (o, mode) else (o, m)) e.lholders
       | None ->
         e.lholders <- (owner, mode) :: e.lholders;
-        let l = owned_of t owner in
+        let l = list_of t.owned owner in
         l := res :: !l);
+      if mode = X then on_first_x ();
       Granted
     end
     else begin
@@ -134,6 +145,10 @@ let acquire t ~owner res mode =
       in
       if cycle then Deadlock blockers
       else begin
+        if not (List.exists (fun (o, _) -> o = owner) e.lwaiters) then begin
+          let l = list_of t.queued owner in
+          l := res :: !l
+        end;
         if
           not
             (List.exists (fun (o, m) -> o = owner && m = mode) e.lwaiters)
@@ -142,10 +157,20 @@ let acquire t ~owner res mode =
       end
     end
 
+(* Drop the owner's waiter entries: only the resources it queued on. *)
 let clear_waiters t ~owner =
-  Hashtbl.iter
-    (fun _ e -> e.lwaiters <- List.filter (fun (o, _) -> o <> owner) e.lwaiters)
-    t.entries
+  match Hashtbl.find_opt t.queued owner with
+  | None -> ()
+  | Some l ->
+    List.iter
+      (fun res ->
+        match Hashtbl.find_opt t.entries res with
+        | None -> ()
+        | Some e ->
+          e.lwaiters <- List.filter (fun (o, _) -> o <> owner) e.lwaiters;
+          if e.lholders = [] && e.lwaiters = [] then Hashtbl.remove t.entries res)
+      !l;
+    Hashtbl.remove t.queued owner
 
 (* Physically remove the owner's holder entries.  [tick] selects whether
    each released resource charges a ["release_lock"]: true on the commit /
@@ -168,7 +193,6 @@ let release_physical ~tick t ~owner =
             Hashtbl.remove t.entries res)
       !l;
     Hashtbl.remove t.owned owner);
-  (* Clear the owner's waiter entries everywhere. *)
   clear_waiters t ~owner
 
 let release_now t ~owner = release_physical ~tick:true t ~owner

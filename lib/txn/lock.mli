@@ -35,12 +35,16 @@ type t
 
 val create : unit -> t
 
-val acquire : t -> owner:int -> resource -> mode -> outcome
+val acquire :
+  ?on_first_x:(unit -> unit) -> t -> owner:int -> resource -> mode -> outcome
 (** Re-acquiring a held lock (same or weaker mode) is a no-op granting
-    immediately and ticking nothing. *)
+    immediately and ticking nothing.  [on_first_x] runs when this call is
+    the owner's first exclusive grant on the resource (a fresh X lock or an
+    upgrade from S). *)
 
 val release_all : t -> owner:int -> unit
-(** Release every lock held by [owner] and drop its waiter entries, then
+(** Release every lock held by [owner] and drop its waiter entries (only
+    the resources it was queued on are visited), then
     promote any waiters that can now run (their next [acquire] will be
     granted; promotion here just clears the queue slot).  Inside a
     {!begin_defer} window the release is deferred: the ["release_lock"]

@@ -58,8 +58,8 @@ let require_active t op =
   if t.st <> Active then
     invalid_arg (Printf.sprintf "Transaction.%s: transaction %d not active" op t.id)
 
-let acquire t res mode =
-  match Lock.acquire t.locks ~owner:t.id res mode with
+let acquire ?on_first_x t res mode =
+  match Lock.acquire ?on_first_x t.locks ~owner:t.id res mode with
   | Lock.Granted -> ()
   | Lock.Blocked blockers ->
     raise (Lock_conflict { txid = t.id; blockers; deadlock = false })
@@ -81,13 +81,12 @@ let hooks t : Sql_exec.hooks =
            so locking the version rid would let a second writer slip past
            the first one's still-held lock on the superseded version. *)
         let res = Lock.Rec (Table.name tb, r.Record.base) in
-        let already = Lock.holds t.locks ~owner:t.id res in
-        acquire t res (lmode mode);
         (* Pin the pre-image on first exclusive acquisition so the rule pass
            can read it after the update retires it. *)
-        match (mode, already) with
-        | Sql_exec.Exclusive, (None | Some Lock.S) -> pin t r
-        | _ -> ());
+        match mode with
+        | Sql_exec.Shared -> acquire t res Lock.S
+        | Sql_exec.Exclusive ->
+          acquire t res Lock.X ~on_first_x:(fun () -> pin t r));
     on_insert = (fun tb r -> Tlog.log_insert t.tlog ~table:(Table.name tb) r);
     on_update =
       (fun tb ~old_rec ~new_rec ->

@@ -310,6 +310,256 @@ let test_upgrade_under_contention () =
   | Lock.Deadlock _ -> ()
   | _ -> Alcotest.fail "second upgrader must be refused (upgrade cycle)"
 
+let test_tlog_count_and_touched_tables () =
+  let log = Tlog.create () in
+  let r = Record.create [| Value.Int 1 |] in
+  Alcotest.(check int) "empty" 0 (Tlog.length log);
+  Alcotest.(check (list string)) "nothing touched" [] (Tlog.tables_touched log);
+  Tlog.log_insert log ~table:"b" r;
+  Tlog.log_update log ~table:"a" ~old_rec:r ~new_rec:r;
+  Tlog.log_delete log ~table:"b" r;
+  Tlog.log_insert log ~table:"c" r;
+  Tlog.log_insert log ~table:"a" r;
+  Alcotest.(check int) "length" 5 (Tlog.length log);
+  Alcotest.(check (list string)) "first-touch order" [ "b"; "a"; "c" ]
+    (Tlog.tables_touched log);
+  Alcotest.(check (list int)) "execute order" [ 1; 2; 3; 4; 5 ]
+    (List.map (fun (e : Tlog.entry) -> e.execute_order) (Tlog.entries log))
+
+(* Reference lock manager: the straightforward version, whose release
+   sweeps every entry of the lock table for the owner's waiter slots.
+   The property below checks [Lock] against it step by step. *)
+module Ref_lock = struct
+  type entry = {
+    mutable holders : (int * Lock.mode) list;
+    mutable waiters : (int * Lock.mode) list;
+  }
+
+  type t = {
+    entries : (Lock.resource, entry) Hashtbl.t;
+    owned : (int, Lock.resource list ref) Hashtbl.t;
+    mutable defer : bool;
+    mutable deferred : int list;
+    mutable gets : int;
+    mutable releases : int;
+  }
+
+  let create () =
+    {
+      entries = Hashtbl.create 16;
+      owned = Hashtbl.create 16;
+      defer = false;
+      deferred = [];
+      gets = 0;
+      releases = 0;
+    }
+
+  let entry_of t res =
+    match Hashtbl.find_opt t.entries res with
+    | Some e -> e
+    | None ->
+      let e = { holders = []; waiters = [] } in
+      Hashtbl.add t.entries res e;
+      e
+
+  let holds t ~owner res =
+    match Hashtbl.find_opt t.entries res with
+    | None -> None
+    | Some e -> (
+      match List.filter (fun (o, _) -> o = owner) e.holders with
+      | [] -> None
+      | l -> if List.exists (fun (_, m) -> m = Lock.X) l then Some Lock.X else Some Lock.S)
+
+  let edges t =
+    Hashtbl.fold
+      (fun _ e acc ->
+        List.concat_map
+          (fun (w, wm) ->
+            List.filter_map
+              (fun (h, hm) ->
+                if h <> w && (wm = Lock.X || hm = Lock.X) then Some (w, h) else None)
+              e.holders)
+          e.waiters
+        @ acc)
+      t.entries []
+
+  let cycle edges from to_ =
+    let rec reach seen n =
+      n = from
+      || ((not (List.mem n seen))
+         && List.exists (fun (a, b) -> a = n && reach (n :: seen) b) edges)
+    in
+    reach [] to_
+
+  let acquire t ~owner res mode =
+    let e = entry_of t res in
+    let held = holds t ~owner res in
+    match held with
+    | Some Lock.X -> Lock.Granted
+    | Some Lock.S when mode = Lock.S -> Lock.Granted
+    | _ ->
+      let conflicting =
+        List.filter (fun (o, m) -> o <> owner && (mode = Lock.X || m = Lock.X)) e.holders
+      in
+      if conflicting = [] then begin
+        t.gets <- t.gets + 1;
+        (match held with
+        | Some _ ->
+          e.holders <-
+            List.map (fun (o, m) -> if o = owner then (o, mode) else (o, m)) e.holders
+        | None ->
+          e.holders <- (owner, mode) :: e.holders;
+          let l =
+            match Hashtbl.find_opt t.owned owner with
+            | Some l -> l
+            | None ->
+              let l = ref [] in
+              Hashtbl.add t.owned owner l;
+              l
+          in
+          l := res :: !l);
+        Lock.Granted
+      end
+      else begin
+        let blockers = List.map fst conflicting in
+        let es = edges t in
+        if List.exists (fun b -> cycle es owner b) blockers then Lock.Deadlock blockers
+        else begin
+          if not (List.mem (owner, mode) e.waiters) then
+            e.waiters <- e.waiters @ [ (owner, mode) ];
+          Lock.Blocked blockers
+        end
+      end
+
+  let clear_waiters t ~owner =
+    Hashtbl.iter
+      (fun _ e -> e.waiters <- List.filter (fun (o, _) -> o <> owner) e.waiters)
+      t.entries
+
+  let release_physical ~tick t ~owner =
+    (match Hashtbl.find_opt t.owned owner with
+    | None -> ()
+    | Some l ->
+      List.iter
+        (fun res ->
+          match Hashtbl.find_opt t.entries res with
+          | None -> ()
+          | Some e ->
+            let before = List.length e.holders in
+            e.holders <- List.filter (fun (o, _) -> o <> owner) e.holders;
+            if tick && List.length e.holders < before then
+              t.releases <- t.releases + 1;
+            if e.holders = [] && e.waiters = [] then Hashtbl.remove t.entries res)
+        !l;
+      Hashtbl.remove t.owned owner);
+    clear_waiters t ~owner
+
+  let release_all t ~owner =
+    if t.defer then begin
+      (match Hashtbl.find_opt t.owned owner with
+      | None -> ()
+      | Some l -> t.releases <- t.releases + List.length !l);
+      clear_waiters t ~owner;
+      t.deferred <- owner :: t.deferred
+    end
+    else release_physical ~tick:true t ~owner
+
+  let holders t res =
+    match Hashtbl.find_opt t.entries res with None -> [] | Some e -> e.holders
+
+  let waiters t res =
+    match Hashtbl.find_opt t.entries res with None -> [] | Some e -> e.waiters
+
+  let locks_held t ~owner =
+    match Hashtbl.find_opt t.owned owner with None -> 0 | Some l -> List.length !l
+end
+
+type lock_op =
+  | Acq of int * int * bool  (* owner, resource, exclusive *)
+  | Rel_all of int
+  | Rel_now of int
+  | Flush of int
+  | Begin_defer
+  | End_defer
+
+let lock_resources = [| Lock.Rel "t"; Lock.Rec ("t", 1); Lock.Rec ("t", 2); Lock.Rec ("u", 1) |]
+
+let lock_op_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [
+           ( 8,
+             map3
+               (fun o r x -> Acq (o, r, x))
+               (int_range 1 4) (int_bound 3) bool );
+           (2, map (fun o -> Rel_all o) (int_range 1 4));
+           (1, map (fun o -> Rel_now o) (int_range 1 4));
+           (1, map (fun o -> Flush o) (int_range 1 4));
+           (1, pure Begin_defer);
+           (1, pure End_defer);
+         ]))
+
+let prop_lock_matches_sweeping_model =
+  QCheck2.Test.make ~name:"lock manager = whole-table-sweep model" ~count:500
+    lock_op_gen (fun ops ->
+      let lk = Lock.create () and m = Ref_lock.create () in
+      let gets0 = Meter.get "get_lock" and rels0 = Meter.get "release_lock" in
+      List.iteri
+        (fun step op ->
+          let fail what = QCheck2.Test.fail_reportf "step %d: %s" step what in
+          (match op with
+          | Acq (o, r, x) ->
+            let res = lock_resources.(r) and mode = if x then Lock.X else Lock.S in
+            let first_x = ref false in
+            let got =
+              Lock.acquire lk ~owner:o res mode ~on_first_x:(fun () -> first_x := true)
+            in
+            let before = Ref_lock.holds m ~owner:o res in
+            let want = Ref_lock.acquire m ~owner:o res mode in
+            if got <> want then fail "outcome";
+            let want_first_x =
+              want = Lock.Granted && x && before <> Some Lock.X
+            in
+            if !first_x <> want_first_x then fail "first exclusive grant"
+          | Rel_all o ->
+            Lock.release_all lk ~owner:o;
+            Ref_lock.release_all m ~owner:o
+          | Rel_now o ->
+            Lock.release_now lk ~owner:o;
+            Ref_lock.release_physical ~tick:true m ~owner:o
+          | Flush o ->
+            Lock.flush lk ~owner:o;
+            Ref_lock.release_physical ~tick:false m ~owner:o
+          | Begin_defer ->
+            Lock.begin_defer lk;
+            m.defer <- true;
+            m.deferred <- []
+          | End_defer ->
+            let got = Lock.end_defer lk in
+            let want = List.rev m.deferred in
+            m.defer <- false;
+            m.deferred <- [];
+            if got <> want then fail "deferred owners");
+          Array.iter
+            (fun res ->
+              if Lock.holders lk res <> Ref_lock.holders m res then fail "holders";
+              if Lock.waiters lk res <> Ref_lock.waiters m res then fail "waiters";
+              for o = 1 to 4 do
+                if Lock.holds lk ~owner:o res <> Ref_lock.holds m ~owner:o res then
+                  fail "holds"
+              done)
+            lock_resources;
+          for o = 1 to 4 do
+            if Lock.locks_held lk ~owner:o <> Ref_lock.locks_held m ~owner:o then
+              fail "locks_held"
+          done;
+          if Meter.get "get_lock" - gets0 <> m.gets then fail "get_lock ticks";
+          if Meter.get "release_lock" - rels0 <> m.releases then
+            fail "release_lock ticks")
+        ops;
+      true)
+
 let suite =
   [
     ( "txn",
@@ -337,5 +587,8 @@ let suite =
           test_abort_releases_inside_defer;
         Alcotest.test_case "lock upgrade under contention" `Quick
           test_upgrade_under_contention;
+        QCheck_alcotest.to_alcotest prop_lock_matches_sweeping_model;
+        Alcotest.test_case "tlog count and touched tables" `Quick
+          test_tlog_count_and_touched_tables;
       ] );
   ]
