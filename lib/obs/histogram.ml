@@ -1,7 +1,13 @@
+(* Bucket counts for v > 0 live in [counts], indexed from bucket [base]
+   and grown to cover every index seen.  Indices beyond [near] (with the
+   default gamma: infinity and subnormals under 2^-1024) go to [far], so
+   one wild sample cannot size the array. *)
 type t = {
   gamma : float;
   log_gamma : float;
-  tbl : (int, int ref) Hashtbl.t;  (* bucket index -> count, v > 0 *)
+  mutable base : int;
+  mutable counts : int array;  (* [||] until the first near sample *)
+  far : (int, int ref) Hashtbl.t;
   mutable underflow : int;  (* v <= 0 or NaN *)
   mutable n : int;
   mutable total : float;
@@ -14,7 +20,9 @@ let create ?(gamma = sqrt (sqrt 2.0)) () =
   {
     gamma;
     log_gamma = log gamma;
-    tbl = Hashtbl.create 64;
+    base = 0;
+    counts = [||];
+    far = Hashtbl.create 1;
     underflow = 0;
     n = 0;
     total = 0.0;
@@ -26,6 +34,32 @@ let index t v = int_of_float (Float.floor (log v /. t.log_gamma))
 
 let bucket_lo t i = t.gamma ** float_of_int i
 let bucket_hi t i = t.gamma ** float_of_int (i + 1)
+
+let near = 4096
+
+let bump t i c =
+  if i < -near || i >= near then
+    match Hashtbl.find_opt t.far i with
+    | Some r -> r := !r + c
+    | None -> Hashtbl.add t.far i (ref c)
+  else begin
+    let len = Array.length t.counts in
+    if len = 0 then begin
+      t.base <- i - 8;
+      t.counts <- Array.make 32 0
+    end
+    else if i < t.base || i >= t.base + len then begin
+      (* grow toward [i], at least doubling *)
+      let lo = min i t.base and hi = max i (t.base + len - 1) in
+      let nlen = max (hi - lo + 1) (2 * len) in
+      let nbase = if i < t.base then hi - nlen + 1 else lo in
+      let a = Array.make nlen 0 in
+      Array.blit t.counts 0 a (t.base - nbase) len;
+      t.base <- nbase;
+      t.counts <- a
+    end;
+    t.counts.(i - t.base) <- t.counts.(i - t.base) + c
+  end
 
 let add t v =
   t.n <- t.n + 1;
@@ -40,9 +74,7 @@ let add t v =
       (* guard against floor/pow rounding at bucket edges *)
       let i = if v < bucket_lo t i then i - 1 else i in
       let i = if v >= bucket_hi t i then i + 1 else i in
-      match Hashtbl.find_opt t.tbl i with
-      | Some r -> incr r
-      | None -> Hashtbl.add t.tbl i (ref 1)
+      bump t i 1
     end
   end
 
@@ -55,8 +87,14 @@ let mean t = if t.n = 0 then 0.0 else t.total /. float_of_int t.n
 let min_value t = if t.n = 0 || t.lo > t.hi then 0.0 else t.lo
 let max_value t = if t.n = 0 || t.lo > t.hi then 0.0 else t.hi
 
+(* Non-empty buckets as (index, count), ascending by index. *)
+let fold_buckets t f init =
+  let acc = ref (Hashtbl.fold (fun i r acc -> f i !r acc) t.far init) in
+  Array.iteri (fun j c -> if c > 0 then acc := f (t.base + j) c !acc) t.counts;
+  !acc
+
 let sorted_indices t =
-  Hashtbl.fold (fun i r acc -> (i, !r) :: acc) t.tbl []
+  fold_buckets t (fun i c acc -> (i, c) :: acc) []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let percentile t p =
@@ -95,7 +133,8 @@ let buckets t =
   if t.underflow > 0 then (0.0, 0.0, t.underflow) :: pos else pos
 
 let reset t =
-  Hashtbl.reset t.tbl;
+  t.counts <- [||];
+  Hashtbl.reset t.far;
   t.underflow <- 0;
   t.n <- 0;
   t.total <- 0.0;
@@ -105,12 +144,7 @@ let reset t =
 let merge_into ~dst src =
   if dst.gamma <> src.gamma then
     invalid_arg "Histogram.merge_into: gamma mismatch";
-  Hashtbl.iter
-    (fun i r ->
-      match Hashtbl.find_opt dst.tbl i with
-      | Some d -> d := !d + !r
-      | None -> Hashtbl.add dst.tbl i (ref !r))
-    src.tbl;
+  fold_buckets src (fun i c () -> bump dst i c) ();
   dst.underflow <- dst.underflow + src.underflow;
   dst.n <- dst.n + src.n;
   dst.total <- dst.total +. src.total;

@@ -7,16 +7,19 @@ type env = (string * Temp_table.t) list
 type t = {
   tbl : (string, Table.t) Hashtbl.t;
   mutable order : string list;  (* creation order, newest first *)
+  mutable gen : int;  (* bumped whenever a table is added or dropped *)
 }
 
-let create () = { tbl = Hashtbl.create 32; order = [] }
+let create () = { tbl = Hashtbl.create 32; order = []; gen = 0 }
+let generation t = t.gen
 
 let add_table t table =
   let n = Table.name table in
   if Hashtbl.mem t.tbl n then
     invalid_arg (Printf.sprintf "Catalog: table %s already exists" n);
   Hashtbl.add t.tbl n table;
-  t.order <- n :: t.order
+  t.order <- n :: t.order;
+  t.gen <- t.gen + 1
 
 let create_table t ~name ~schema =
   let table = Table.create ~name ~schema in
@@ -26,7 +29,8 @@ let create_table t ~name ~schema =
 let drop_table t name =
   if not (Hashtbl.mem t.tbl name) then raise Not_found;
   Hashtbl.remove t.tbl name;
-  t.order <- List.filter (fun n -> n <> name) t.order
+  t.order <- List.filter (fun n -> n <> name) t.order;
+  t.gen <- t.gen + 1
 
 let find_table t name = Hashtbl.find_opt t.tbl name
 

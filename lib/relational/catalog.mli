@@ -17,6 +17,10 @@ type t
 
 val create : unit -> t
 
+val generation : t -> int
+(** Bumped by every table added or dropped; a prepared query assumes the
+    generation it was prepared at. *)
+
 val create_table : t -> name:string -> schema:Schema.t -> Table.t
 (** @raise Invalid_argument if the name is taken. *)
 

@@ -67,7 +67,7 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Descriptor computation (shared by [run] and [schema_of]).           *)
+(* Descriptor computation.                                            *)
 
 let item_name i (it : select_item) =
   match it.alias with
@@ -167,19 +167,6 @@ let group_desc d keys aggs =
     colprov = Array.make (Schema.arity schema) Mat;
   }
 
-let rec desc_of cat ~env = function
-  | Scan { rel; alias } -> (
-    match Catalog.resolve cat ~env rel with
-    | Some relation -> scan_desc relation alias
-    | None -> plan_error "unknown relation %s" rel)
-  | Filter (_, p) -> desc_of cat ~env p
-  | Join (l, r, _) -> join_desc (desc_of cat ~env l) (desc_of cat ~env r)
-  | Project (items, p) -> project_desc (desc_of cat ~env p) items
-  | Group { keys; aggs; input; _ } -> group_desc (desc_of cat ~env input) keys aggs
-  | Order (_, p) -> desc_of cat ~env p
-  | Limit (_, p) -> desc_of cat ~env p
-  | Distinct p -> desc_of cat ~env p
-
 (* ------------------------------------------------------------------ *)
 (* Predicate analysis for join strategies.                              *)
 
@@ -223,7 +210,7 @@ module VTbl = Hashtbl.Make (VKey)
 (* Join strategy selection.
 
    A pure function of the logical plan shape and the current catalog, so
-   that [explain], the compiled executor and any cached decision always
+   that [explain] and a preparation made against the same catalog always
    agree.  The choices, in priority order:
 
    - merge join: both inputs are bare standard-table scans whose equi
@@ -234,7 +221,7 @@ module VTbl = Hashtbl.Make (VKey)
    - hash join: any other equi join;
    - nested loop: no equi conjunct (cross products and pure theta joins). *)
 
-type strategy_pick =
+type strategy =
   | PMerge of (Table.t * Index.t) * (Table.t * Index.t)
   | PIndex of Table.t * Index.t
   | PHash
@@ -269,285 +256,241 @@ let pick_strategy ~ltb ~rtb equi =
       | _ -> PIndex (rtb, ridx)))
 
 (* ------------------------------------------------------------------ *)
-(* Compiled plans.
+(* Prepared plans.
 
-   [run] compiles each plan once into a mirror tree of nodes carrying
-   per-node memos: the computed descriptor, the predicates and select items
-   resolved against it, and the chosen join strategy.  A memo is validated
-   by physical identity on every execution — a scan is still valid when the
-   resolved relation carries the same schema and static map as before (so
-   transition tables, whose layouts are shared per base table, revalidate
-   in O(1)), and a join is still valid while its input descriptors are the
-   memoized ones and no index has been added to or dropped from the scanned
-   tables ({!Table.index_gen}).  On any mismatch the node silently
-   recompiles, which makes catalog rebuilds (crash recovery, failover)
-   transparent.  Only resolution work is cached; every execution re-runs
-   the physical operators, so meter ticks are unchanged. *)
+   [prepare] resolves a plan once, against the catalog and the layouts of
+   the temporary tables in [env]: each scan is bound to its standard
+   table or to its position in the execution-time temporary-table array,
+   each predicate and select item to column positions, each join to its
+   strategy, and each operator gets the scratch arrays its output rows
+   are written into.  Executing does no name resolution and no probing of
+   a plan cache.  A preparation stays valid while the catalog's table set
+   ({!Catalog.generation}) and the scanned tables' index sets
+   ({!Table.index_gen}) are what it assumed; a caller holding a stale
+   plan prepares it again.  Preparing ticks no meter.
 
-type scan_memo = {
-  sm_std : Table.t option;  (* [Some tb] iff the relation is standard *)
-  sm_schema : Schema.t;  (* resolved relation's schema (identity key) *)
-  sm_name : string;
-  sm_prov : Temp_table.provenance array;  (* [||] for standard tables *)
-  sm_desc : xdesc;
+   Execution pushes rows downstream.  A row handed to a consumer is
+   borrowed — the producer's scratch arrays, reused for its next row — so
+   a consumer that keeps a row copies it. *)
+
+type node =
+  | NStd of { tb : Table.t; one : Record.t array }
+  | NTmp of {
+      pos : int;  (* index into the execution-time temporary tables *)
+      layout : Temp_table.layout;
+      tvals : Value.t array;
+      tsrcs : Record.t array;
+    }
+  | NFilter of Expr.t * node
+  | NJoin of join
+  | NProject of { sub : node; exprs : Expr.t array; out : Value.t array }
+  | NGroup of group
+  | NOrder of (Expr.t * order) list * node
+  | NLimit of int * node
+  | NDistinct of node
+
+and join = {
+  left : node;
+  right : node;
+  strategy : strategy;
+  equi : (int * int) list;
+  residual : Expr.t option;
+  la : int;  (* left arity; right columns start here *)
+  nl : int;  (* left pointer slots; right slots start here *)
+  jvals : Value.t array;
+  jsrcs : Record.t array;
 }
 
-type jstrategy =
-  | JMerge of (Table.t * Index.t) * (Table.t * Index.t)
-  | JIndex of Table.t * Index.t
-  | JHash
-  | JNested
-
-type join_memo = {
-  jm_ldesc : xdesc;  (* identity keys: the input descriptors *)
-  jm_rdesc : xdesc;
-  jm_desc : xdesc;
-  jm_equi : (int * int) list;
-  jm_residual : Expr.t option;
-  jm_strategy : jstrategy;
-  jm_deps : (Table.t * int) list;  (* index generations the choice assumed *)
-}
-
-type agg_kind = [ `Count_star | `Count | `Sum | `Avg | `Min | `Max ]
-
-type group_memo = {
-  gm_in : xdesc;
-  gm_desc : xdesc;
-  gm_keys : Expr.t list;
-  gm_aggs : (agg_kind * Expr.t) list;
-  gm_having : Expr.t option;
-}
-
-type cnode =
-  | CScan of cscan
-  | CFilter of cfilter
-  | CJoin of cjoin
-  | CProject of cproject
-  | CGroup of cgroup
-  | COrder of corder
-  | CLimit of int * cnode
-  | CDistinct of cnode
-
-and cscan = { rel : string; alias : string option; mutable sm : scan_memo option }
-and cfilter = { fsub : cnode; fpred : Expr.t; mutable fm : (xdesc * Expr.t) option }
-and cjoin = { jl : cnode; jr : cnode; jpred : Expr.t option; mutable jm : join_memo option }
-
-and cproject = {
-  psub : cnode;
-  pitems : select_item list;
-  mutable pm : (xdesc * xdesc * Expr.t list) option;
-}
-
-and cgroup = {
-  gsub : cnode;
-  gkeys : select_item list;
-  gaggs : (agg * string) list;
+and group = {
+  gsub : node;
+  gkeys : Expr.t list;
+  gaggs : (agg * Expr.t) list;  (* the agg's own expression is unused *)
   ghaving : Expr.t option;
-  mutable gm : group_memo option;
 }
 
-and corder = {
-  osub : cnode;
-  ospecs : (Expr.t * order) list;
-  mutable om : (xdesc * (Expr.t * order) list) option;
+(* How a result becomes a bound table (§6.1), fixed by its descriptor. *)
+type binder = {
+  blayout : Temp_table.layout;
+  slot_of : int array;  (* bound-table slot -> result slot *)
+  mat_of : int array;  (* bound-table cell -> result column, or -1-j: override j *)
 }
 
-let rec compile_node = function
-  | Scan { rel; alias } -> CScan { rel; alias; sm = None }
-  | Filter (pred, p) -> CFilter { fsub = compile_node p; fpred = pred; fm = None }
-  | Join (l, r, pred) ->
-    CJoin { jl = compile_node l; jr = compile_node r; jpred = pred; jm = None }
-  | Project (items, p) -> CProject { psub = compile_node p; pitems = items; pm = None }
-  | Group { keys; aggs; having; input } ->
-    CGroup
-      { gsub = compile_node input; gkeys = keys; gaggs = aggs; ghaving = having; gm = None }
-  | Order (specs, p) -> COrder { osub = compile_node p; ospecs = specs; om = None }
-  | Limit (n, p) -> CLimit (n, compile_node p)
-  | Distinct p -> CDistinct (compile_node p)
+type prepared = {
+  root : node;
+  pdesc : xdesc;
+  pcat : Catalog.t;
+  cat_gen : int;
+  deps : (Table.t * int) list;  (* scanned tables and their index_gen *)
+  binder : binder option;  (* when prepared for binding *)
+}
 
 let resolve_in schema e =
   try Expr.resolve schema e
   with Expr.Unknown_column c -> plan_error "unknown column %s" c
 
-let scan_valid m relation =
-  match (relation, m.sm_std) with
-  | Catalog.Std tb, Some tb' -> tb == tb'
-  | Catalog.Tmp tmp, None ->
-    Temp_table.schema tmp == m.sm_schema
-    && Temp_table.name tmp = m.sm_name
-    && Temp_table.same_static_map tmp m.sm_prov
-  | _ -> false
-
-let ensure_scan cat ~env (s : cscan) =
-  match Catalog.resolve cat ~env s.rel with
-  | None -> plan_error "unknown relation %s" s.rel
-  | Some relation -> (
-    match s.sm with
-    | Some m when scan_valid m relation -> (relation, m.sm_desc)
-    | _ ->
-      let desc = scan_desc relation s.alias in
-      s.sm <-
-        Some
-          {
-            sm_std = (match relation with Catalog.Std tb -> Some tb | _ -> None);
-            sm_schema = Catalog.relation_schema relation;
-            sm_name = Catalog.relation_name relation;
-            sm_prov =
-              (match relation with
-              | Catalog.Tmp t -> Temp_table.static_map t
-              | Catalog.Std _ -> [||]);
-            sm_desc = desc;
-          };
-      (relation, desc))
-
-let scan_std cat ~env = function
-  | CScan s -> (
-    match Catalog.resolve cat ~env s.rel with
-    | Some (Catalog.Std tb) -> Some tb
-    | _ -> None)
-  | _ -> None
-
-(* [censure] validates the memo chain and returns the node's descriptor
-   without executing anything (and without ticking any meter). *)
-let rec censure cat ~env = function
-  | CScan s -> snd (ensure_scan cat ~env s)
-  | CFilter f -> censure cat ~env f.fsub
-  | CJoin j -> (ensure_join cat ~env j).jm_desc
-  | CProject p ->
-    let _, desc, _ = ensure_project cat ~env p in
-    desc
-  | CGroup g -> (ensure_group cat ~env g).gm_desc
-  | COrder o -> censure cat ~env o.osub
-  | CLimit (_, sub) -> censure cat ~env sub
-  | CDistinct sub -> censure cat ~env sub
-
-and ensure_join cat ~env (j : cjoin) =
-  let ldesc = censure cat ~env j.jl in
-  let rdesc = censure cat ~env j.jr in
-  let valid m =
-    m.jm_ldesc == ldesc && m.jm_rdesc == rdesc
-    && List.for_all (fun (tb, g) -> Table.index_gen tb = g) m.jm_deps
-  in
-  match j.jm with
-  | Some m when valid m -> m
-  | _ ->
-    let desc = join_desc ldesc rdesc in
-    let la = Schema.arity ldesc.schema in
-    let resolved_pred = Option.map (resolve_in desc.schema) j.jpred in
-    let equi, residual =
-      match resolved_pred with
-      | None -> ([], [])
-      | Some p -> split_equi ~left_arity:la p
-    in
-    let residual_pred =
-      match residual with
+let binder desc ~overrides =
+  let schema = Schema.unqualify desc.schema in
+  let override_for col =
+    let name = (Schema.col schema col).Schema.cname in
+    let rec find j = function
       | [] -> None
-      | c :: cs ->
-        Some (List.fold_left (fun acc c -> Expr.Binop (Expr.And, acc, c)) c cs)
+      | n :: _ when n = name -> Some j
+      | _ :: rest -> find (j + 1) rest
     in
-    let pick =
-      pick_strategy
-        ~ltb:(scan_std cat ~env j.jl)
-        ~rtb:(scan_std cat ~env j.jr)
-        equi
-    in
-    let strategy, deps =
-      match pick with
-      | PNested -> (JNested, [])
-      | PHash ->
-        (* a later CREATE INDEX on a scanned side can upgrade the choice *)
-        let deps =
-          List.filter_map
-            (Option.map (fun tb -> (tb, Table.index_gen tb)))
-            [ scan_std cat ~env j.jl; scan_std cat ~env j.jr ]
-        in
-        (JHash, deps)
-      | PIndex (tb, idx) ->
-        let deps =
-          List.filter_map
-            (Option.map (fun tb -> (tb, Table.index_gen tb)))
-            [ scan_std cat ~env j.jl; Some tb ]
-        in
-        (JIndex (tb, idx), deps)
-      | PMerge ((ltb, lidx), (rtb, ridx)) ->
-        ( JMerge ((ltb, lidx), (rtb, ridx)),
-          [ (ltb, Table.index_gen ltb); (rtb, Table.index_gen rtb) ] )
-    in
-    let m =
-      {
-        jm_ldesc = ldesc;
-        jm_rdesc = rdesc;
-        jm_desc = desc;
-        jm_equi = equi;
-        jm_residual = residual_pred;
-        jm_strategy = strategy;
-        jm_deps = deps;
-      }
-    in
-    j.jm <- Some m;
-    m
+    find 0 overrides
+  in
+  (* Keep only pointer slots actually referenced by a non-overridden output
+     column (the §6.1 optimization; STRIP v2.0's footnote says it stored all
+     slots — we implement the described design). *)
+  let used = Array.make (max desc.nslots 1) false in
+  Array.iteri
+    (fun col prov ->
+      match (prov, override_for col) with
+      | Slot (s, _), None -> used.(s) <- true
+      | _ -> ())
+    desc.colprov;
+  let slot_map = Array.make (max desc.nslots 1) (-1) in
+  let slot_of = ref [] in
+  Array.iteri
+    (fun s u ->
+      if u then begin
+        slot_map.(s) <- List.length !slot_of;
+        slot_of := s :: !slot_of
+      end)
+    used;
+  let mat_of = ref [] in
+  let prov =
+    Array.mapi
+      (fun col p ->
+        match (p, override_for col) with
+        | Slot (s, o), None -> Temp_table.From_record (slot_map.(s), o)
+        | _, ov ->
+          let m = List.length !mat_of in
+          mat_of := (match ov with Some j -> -1 - j | None -> col) :: !mat_of;
+          Temp_table.Computed m)
+      desc.colprov
+  in
+  let slot_of = Array.of_list (List.rev !slot_of) in
+  let mat_of = Array.of_list (List.rev !mat_of) in
+  {
+    blayout =
+      Temp_table.layout ~schema ~nslots:(Array.length slot_of) ~prov;
+    slot_of;
+    mat_of;
+  }
 
-and ensure_project cat ~env (p : cproject) =
-  let ind = censure cat ~env p.psub in
-  match p.pm with
-  | Some ((ind', _, _) as m) when ind' == ind -> m
-  | _ ->
-    let desc = project_desc ind p.pitems in
-    let resolved = List.map (fun it -> resolve_in ind.schema it.expr) p.pitems in
-    let m = (ind, desc, resolved) in
-    p.pm <- Some m;
-    m
+let prepare ?bind cat ~env plan =
+  let deps = ref [] in
+  let rec env_pos i name = function
+    | [] -> None
+    | (n, tmp) :: _ when n = name -> Some (i, tmp)
+    | _ :: rest -> env_pos (i + 1) name rest
+  in
+  let rec prep = function
+    | Scan { rel; alias } -> (
+      match env_pos 0 rel env with
+      | Some (pos, tmp) ->
+        let desc = scan_desc (Catalog.Tmp tmp) alias in
+        ( NTmp
+            {
+              pos;
+              layout = Temp_table.layout_of tmp;
+              tvals = Array.make (Schema.arity desc.schema) Value.Null;
+              tsrcs = Array.make desc.nslots Record.dummy;
+            },
+          desc )
+      | None -> (
+        match Catalog.find_table cat rel with
+        | None -> plan_error "unknown relation %s" rel
+        | Some tb ->
+          if not (List.mem_assq tb !deps) then
+            deps := (tb, Table.index_gen tb) :: !deps;
+          (NStd { tb; one = [| Record.dummy |] }, scan_desc (Catalog.Std tb) alias)))
+    | Filter (pred, p) ->
+      let n, d = prep p in
+      (NFilter (resolve_in d.schema pred, n), d)
+    | Join (l, r, pred) ->
+      let ln, ld = prep l in
+      let rn, rd = prep r in
+      let desc = join_desc ld rd in
+      let la = Schema.arity ld.schema in
+      let equi, residual =
+        match pred with
+        | None -> ([], [])
+        | Some p -> split_equi ~left_arity:la (resolve_in desc.schema p)
+      in
+      let std = function NStd { tb; _ } -> Some tb | _ -> None in
+      ( NJoin
+          {
+            left = ln;
+            right = rn;
+            strategy = pick_strategy ~ltb:(std ln) ~rtb:(std rn) equi;
+            equi;
+            residual =
+              (match residual with
+              | [] -> None
+              | c :: cs ->
+                Some
+                  (List.fold_left (fun acc c -> Expr.Binop (Expr.And, acc, c)) c cs));
+            la;
+            nl = ld.nslots;
+            jvals = Array.make (Schema.arity desc.schema) Value.Null;
+            jsrcs = Array.make desc.nslots Record.dummy;
+          },
+        desc )
+    | Project (items, p) ->
+      let n, d = prep p in
+      let exprs =
+        Array.of_list (List.map (fun it -> resolve_in d.schema it.expr) items)
+      in
+      ( NProject { sub = n; exprs; out = Array.make (Array.length exprs) Value.Null },
+        project_desc d items )
+    | Group { keys; aggs; having; input } ->
+      let n, d = prep input in
+      let desc = group_desc d keys aggs in
+      let resolve = resolve_in d.schema in
+      let agg_of (a, _) =
+        match a with
+        | Count_star -> (Count_star, Expr.Const Value.Null)
+        | Count e -> (a, resolve e)
+        | Sum e -> (a, resolve e)
+        | Avg e -> (a, resolve e)
+        | Min e -> (a, resolve e)
+        | Max e -> (a, resolve e)
+      in
+      ( NGroup
+          {
+            gsub = n;
+            gkeys = List.map (fun it -> resolve it.expr) keys;
+            gaggs = List.map agg_of aggs;
+            ghaving = Option.map (resolve_in desc.schema) having;
+          },
+        desc )
+    | Order (specs, p) ->
+      let n, d = prep p in
+      (NOrder (List.map (fun (e, o) -> (resolve_in d.schema e, o)) specs, n), d)
+    | Limit (k, p) ->
+      let n, d = prep p in
+      (NLimit (k, n), d)
+    | Distinct p ->
+      let n, d = prep p in
+      (NDistinct n, d)
+  in
+  let root, desc = prep plan in
+  {
+    root;
+    pdesc = desc;
+    pcat = cat;
+    cat_gen = Catalog.generation cat;
+    deps = !deps;
+    binder = Option.map (fun overrides -> binder desc ~overrides) bind;
+  }
 
-and ensure_group cat ~env (g : cgroup) =
-  let ind = censure cat ~env g.gsub in
-  match g.gm with
-  | Some m when m.gm_in == ind -> m
-  | _ ->
-    let desc = group_desc ind g.gkeys g.gaggs in
-    let resolve e = resolve_in ind.schema e in
-    let key_exprs = List.map (fun it -> resolve it.expr) g.gkeys in
-    let agg_specs =
-      List.map
-        (fun (a, _) ->
-          match a with
-          | Count_star -> ((`Count_star :> agg_kind), Expr.Const Value.Null)
-          | Count e -> (`Count, resolve e)
-          | Sum e -> (`Sum, resolve e)
-          | Avg e -> (`Avg, resolve e)
-          | Min e -> (`Min, resolve e)
-          | Max e -> (`Max, resolve e))
-        g.gaggs
-    in
-    let having = Option.map (resolve_in desc.schema) g.ghaving in
-    let m =
-      {
-        gm_in = ind;
-        gm_desc = desc;
-        gm_keys = key_exprs;
-        gm_aggs = agg_specs;
-        gm_having = having;
-      }
-    in
-    g.gm <- Some m;
-    m
+let valid p =
+  Catalog.generation p.pcat = p.cat_gen
+  && List.for_all (fun (tb, g) -> Table.index_gen tb = g) p.deps
 
-let ensure_filter cat ~env (f : cfilter) =
-  let ind = censure cat ~env f.fsub in
-  match f.fm with
-  | Some (ind', p) when ind' == ind -> p
-  | _ ->
-    let p = resolve_in ind.schema f.fpred in
-    f.fm <- Some (ind, p);
-    p
-
-let ensure_order cat ~env (o : corder) =
-  let ind = censure cat ~env o.osub in
-  match o.om with
-  | Some (ind', specs) when ind' == ind -> specs
-  | _ ->
-    let specs = List.map (fun (e, ord) -> (resolve_in ind.schema e, ord)) o.ospecs in
-    o.om <- Some (ind, specs);
-    specs
+let prepared_schema p = p.pdesc.schema
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                           *)
@@ -560,483 +503,329 @@ let ensure_order cat ~env (o : corder) =
    differential tests assert exactly that. *)
 let physical_index_join = ref true
 
-let scan_rows relation desc =
-  match relation with
-  | Catalog.Std tb ->
-    let acc = ref [] in
+(* Accumulator per aggregate: (count, sum as float, current value). *)
+type acc = {
+  mutable n : int;
+  mutable fsum : float;
+  mutable v : Value.t;  (* running sum / min / max *)
+}
+
+let new_acc _ = { n = 0; fsum = 0.0; v = Value.Null }
+
+let accumulate row acc (kind, e) =
+  match kind with
+  | Count_star -> acc.n <- acc.n + 1
+  | Count _ ->
+    if not (Value.is_null (Expr.eval e row)) then acc.n <- acc.n + 1
+  | Sum _ ->
+    let v = Expr.eval e row in
+    if not (Value.is_null v) then begin
+      acc.n <- acc.n + 1;
+      acc.v <- (if Value.is_null acc.v then v else Value.add acc.v v)
+    end
+  | Avg _ ->
+    let v = Expr.eval e row in
+    if not (Value.is_null v) then begin
+      acc.n <- acc.n + 1;
+      acc.fsum <- acc.fsum +. Value.to_float v
+    end
+  | Min _ ->
+    let v = Expr.eval e row in
+    if (not (Value.is_null v)) && (Value.is_null acc.v || Value.compare v acc.v < 0)
+    then acc.v <- v
+  | Max _ ->
+    let v = Expr.eval e row in
+    if (not (Value.is_null v)) && (Value.is_null acc.v || Value.compare v acc.v > 0)
+    then acc.v <- v
+
+let finish acc (kind, _) =
+  match kind with
+  | Count_star | Count _ -> Value.Int acc.n
+  | Sum _ | Min _ | Max _ -> acc.v
+  | Avg _ ->
+    if acc.n = 0 then Value.Null else Value.Float (acc.fsum /. float_of_int acc.n)
+
+let rec iter env node (k : Value.t array -> Record.t array -> unit) =
+  match node with
+  | NStd { tb; one } ->
     Table.iter tb (fun r ->
         Meter.tick_c c_seq_row;
-        acc := { vals = r.Record.values; srcs = [| r |] } :: !acc);
-    ignore desc;
-    List.rev !acc
-  | Catalog.Tmp tmp ->
-    let nslots = Temp_table.slots tmp in
-    let acc = ref [] in
+        one.(0) <- r;
+        k r.Record.values one)
+  | NTmp { pos; layout; tvals; tsrcs } ->
+    let tmp = env.(pos) in
+    if Temp_table.layout_of tmp != layout then
+      plan_error "temporary table %s changed shape since preparation"
+        (Temp_table.name tmp);
     Temp_table.iter tmp (fun row ->
         Meter.tick_c c_seq_row;
-        acc :=
-          {
-            vals = Temp_table.row_values tmp row;
-            srcs = Array.init nslots (fun s -> Temp_table.row_source tmp row s);
-          }
-          :: !acc);
+        Temp_table.fill_values tmp row tvals;
+        Temp_table.fill_sources tmp row tsrcs;
+        k tvals tsrcs)
+  | NFilter (pred, sub) ->
+    iter env sub (fun v s -> if Expr.eval_pred pred v then k v s)
+  | NJoin j -> iter_join env j k
+  | NProject { sub; exprs; out } ->
+    iter env sub (fun v s ->
+        Meter.tick_c c_row_construct;
+        for i = 0 to Array.length exprs - 1 do
+          out.(i) <- Expr.eval exprs.(i) v
+        done;
+        k out s)
+  | NGroup g -> iter_group env g k
+  | NOrder (specs, sub) ->
+    let keyed = ref [] in
+    iter env sub (fun v s ->
+        Meter.tick_c c_sort_row;
+        let key = List.map (fun (e, ord) -> (Expr.eval e v, ord)) specs in
+        keyed := (key, Array.copy v, Array.copy s) :: !keyed);
+    let rec compare_keys a b =
+      match (a, b) with
+      | (va, o) :: a', (vb, _) :: b' ->
+        let c = Value.compare va vb in
+        let c = match o with Asc -> c | Desc -> -c in
+        if c <> 0 then c else compare_keys a' b'
+      | _ -> 0
+    in
+    List.stable_sort (fun (a, _, _) (b, _, _) -> compare_keys a b) (List.rev !keyed)
+    |> List.iter (fun (_, v, s) -> k v s)
+  | NLimit (n, sub) ->
+    let taken = ref 0 in
+    iter env sub (fun v s ->
+        if !taken < n then begin
+          incr taken;
+          k v s
+        end)
+  | NDistinct sub ->
+    let seen = VTbl.create 16 in
+    iter env sub (fun v s ->
+        Meter.tick_c c_hash_probe;
+        let key = Array.to_list v in
+        if not (VTbl.mem seen key) then begin
+          VTbl.add seen key ();
+          k v s
+        end)
+
+(* A join writes each output row into its scratch arrays: the left part
+   once per left row, the right part per match. *)
+and iter_join env j k =
+  let vals = j.jvals and srcs = j.jsrcs in
+  let ra = Array.length vals - j.la in
+  let set_left lv ls =
+    Array.blit lv 0 vals 0 j.la;
+    Array.blit ls 0 srcs 0 j.nl
+  in
+  let emit () =
+    match j.residual with
+    | Some p when not (Expr.eval_pred p vals) -> ()
+    | _ -> k vals srcs
+  in
+  let emit_right rv rs =
+    Meter.tick_c c_join_row;
+    Array.blit rv 0 vals j.la ra;
+    Array.blit rs 0 srcs j.nl (Array.length rs);
+    emit ()
+  in
+  let emit_record (r : Record.t) =
+    Meter.tick_c c_join_row;
+    Array.blit r.Record.values 0 vals j.la ra;
+    srcs.(j.nl) <- r;
+    emit ()
+  in
+  let probe_key lv = List.map (fun (i, _) -> lv.(i)) j.equi in
+  (* The right input materialized, in order (rows are copied: they are
+     borrowed from the producer). *)
+  let right_rows ~tick =
+    let acc = ref [] in
+    iter env j.right (fun v s ->
+        tick ();
+        acc := (Array.copy v, Array.copy s) :: !acc);
     List.rev !acc
-
-let combine_rows lrow rrow =
-  Meter.tick_c c_join_row;
-  {
-    vals = Array.append lrow.vals rrow.vals;
-    srcs = Array.append lrow.srcs rrow.srcs;
-  }
-
-let record_row (r : Record.t) = { vals = r.Record.values; srcs = [| r |] }
-
-let rec cexec cat ~env node : result =
-  match node with
-  | CScan s ->
-    let relation, desc = ensure_scan cat ~env s in
-    { desc; xrows = scan_rows relation desc }
-  | CFilter f ->
-    let pred = ensure_filter cat ~env f in
-    let r = cexec cat ~env f.fsub in
-    { r with xrows = List.filter (fun x -> Expr.eval_pred pred x.vals) r.xrows }
-  | CJoin j -> cexec_join cat ~env j
-  | CProject p ->
-    let _, desc, resolved = ensure_project cat ~env p in
-    let r = cexec cat ~env p.psub in
-    let exprs = Array.of_list resolved in
-    let project x =
-      Meter.tick_c c_row_construct;
-      {
-        vals = Array.map (fun e -> Expr.eval e x.vals) exprs;
-        srcs = x.srcs;
-      }
-    in
-    { desc; xrows = List.map project r.xrows }
-  | CGroup g -> cexec_group cat ~env g
-  | COrder o ->
-    let specs = ensure_order cat ~env o in
-    let r = cexec cat ~env o.osub in
-    let keyed =
-      List.map
-        (fun x ->
-          Meter.tick_c c_sort_row;
-          (List.map (fun (e, ord) -> (Expr.eval e x.vals, ord)) specs, x))
-        r.xrows
-    in
-    let compare_keys (ka, _) (kb, _) =
-      let rec loop a b =
-        match (a, b) with
-        | [], [] -> 0
-        | (va, o) :: a', (vb, _) :: b' ->
-          let c = Value.compare va vb in
-          let c = match o with Asc -> c | Desc -> -c in
-          if c <> 0 then c else loop a' b'
-        | _ -> 0
-      in
-      loop ka kb
-    in
-    { r with xrows = List.map snd (List.stable_sort compare_keys keyed) }
-  | CLimit (n, sub) ->
-    let r = cexec cat ~env sub in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    { r with xrows = take n r.xrows }
-  | CDistinct sub ->
-    let r = cexec cat ~env sub in
-    let seen = VTbl.create (List.length r.xrows) in
-    let xrows =
-      List.filter
-        (fun x ->
-          Meter.tick_c c_hash_probe;
-          let key = Array.to_list x.vals in
-          if VTbl.mem seen key then false
-          else begin
-            VTbl.add seen key ();
-            true
-          end)
-        r.xrows
-    in
-    { r with xrows }
-
-and cexec_join cat ~env (j : cjoin) =
-  let m = ensure_join cat ~env j in
-  let equi = m.jm_equi in
-  let keep combined =
-    match m.jm_residual with
-    | None -> true
-    | Some p -> Expr.eval_pred p combined.vals
   in
-  let probe_key lrow = List.map (fun (i, _) -> lrow.vals.(i)) equi in
-  let xrows =
-    match m.jm_strategy with
-    | JIndex (tb, idx) ->
-      let lres = cexec cat ~env j.jl in
-      if !physical_index_join then begin
-        (* accumulator instead of concat_map/filter_map: this loop runs
-           once per probed posting on every rule check, so avoid the
-           per-match option and per-left-row list append *)
-        let acc = ref [] in
-        List.iter
-          (fun lrow ->
-            List.iter
-              (fun (rec_ : Record.t) ->
-                let combined = combine_rows lrow (record_row rec_) in
-                if keep combined then acc := combined :: !acc)
-              (Index.lookup idx (probe_key lrow)))
-          lres.xrows;
-        List.rev !acc
-      end
-      else begin
-        (* unmetered hash build, then per-left-row probes that replay the
-           modeled index path's ticks and posting order *)
-        let tbl = VTbl.create (Table.cardinal tb) in
-        Table.iter tb (fun r ->
-            let key = List.map (fun (_, jj) -> Record.value r jj) equi in
-            let cur =
-              match VTbl.find_opt tbl key with Some l -> l | None -> []
-            in
-            VTbl.replace tbl key (r :: cur));
-        List.concat_map
-          (fun lrow ->
-            Meter.tick_c c_index_probe;
-            let matches =
-              match VTbl.find_opt tbl (probe_key lrow) with
-              | Some l ->
-                List.sort
-                  (fun (a : Record.t) (b : Record.t) -> compare b.rid a.rid)
-                  l
-              | None -> []
-            in
-            List.filter_map
-              (fun rec_ ->
-                let combined = combine_rows lrow (record_row rec_) in
-                if keep combined then Some combined else None)
-              matches)
-          lres.xrows
-      end
-    | JMerge ((_ltb, lidx), (_rtb, ridx)) ->
-      (* Neither side is scanned: stream both ordered indexes in key order
-         and intersect, one "merge_step" per pointer advance.  Output is in
-         ascending key order; within a key, left then right postings
-         oldest-first (ascending rid). *)
-      let acc = ref [] in
-      let rec merge ls rs =
-        match (ls, rs) with
-        | [], _ | _, [] -> ()
-        | (lk, lrecs) :: ls', (rk, rrecs) :: rs' ->
-          Meter.tick_c c_merge_step;
-          let c = Index.compare_keys lk rk in
-          if c < 0 then merge ls' rs
-          else if c > 0 then merge ls rs'
-          else begin
-            List.iter
-              (fun (lr : Record.t) ->
-                let lrow = record_row lr in
-                List.iter
-                  (fun (rr : Record.t) ->
-                    let combined = combine_rows lrow (record_row rr) in
-                    if keep combined then acc := combined :: !acc)
-                  rrecs)
-              lrecs;
-            merge ls' rs'
-          end
-      in
-      merge (Index.ordered_entries lidx) (Index.ordered_entries ridx);
-      List.rev !acc
-    | JHash ->
-      let lres = cexec cat ~env j.jl in
-      let rres = cexec cat ~env j.jr in
-      let tbl = VTbl.create (List.length rres.xrows) in
-      List.iter
-        (fun rrow ->
-          Meter.tick_c c_hash_build;
-          let key = List.map (fun (_, jj) -> rrow.vals.(jj)) equi in
-          let cur = match VTbl.find_opt tbl key with Some l -> l | None -> [] in
-          VTbl.replace tbl key (rrow :: cur))
-        rres.xrows;
-      let acc = ref [] in
-      List.iter
-        (fun lrow ->
-          Meter.tick_c c_hash_probe;
-          match VTbl.find_opt tbl (probe_key lrow) with
-          | None -> ()
-          | Some rrows ->
-            List.iter
-              (fun rrow ->
-                let combined = combine_rows lrow rrow in
-                if keep combined then acc := combined :: !acc)
-              (List.rev rrows))
-        lres.xrows;
-      List.rev !acc
-    | JNested ->
-      let lres = cexec cat ~env j.jl in
-      let rres = cexec cat ~env j.jr in
-      let acc = ref [] in
-      List.iter
-        (fun lrow ->
+  match j.strategy with
+  | PIndex (_, idx) when !physical_index_join ->
+    iter env j.left (fun lv ls ->
+        set_left lv ls;
+        List.iter emit_record (Index.lookup idx (probe_key lv)))
+  | PIndex (tb, _) ->
+    (* unmetered hash build, then per-left-row probes that replay the
+       modeled index path's ticks and posting order *)
+    let tbl = VTbl.create (Table.cardinal tb) in
+    Table.iter tb (fun r ->
+        let key = List.map (fun (_, jj) -> Record.value r jj) j.equi in
+        let cur = match VTbl.find_opt tbl key with Some l -> l | None -> [] in
+        VTbl.replace tbl key (r :: cur));
+    iter env j.left (fun lv ls ->
+        Meter.tick_c c_index_probe;
+        match VTbl.find_opt tbl (probe_key lv) with
+        | None -> ()
+        | Some l ->
+          set_left lv ls;
+          List.iter emit_record
+            (List.sort (fun (a : Record.t) (b : Record.t) -> compare b.rid a.rid) l))
+  | PMerge ((_, lidx), (_, ridx)) ->
+    (* Neither side is scanned: stream both ordered indexes in key order
+       and intersect, one "merge_step" per pointer advance.  Output is in
+       ascending key order; within a key, left then right postings
+       oldest-first (ascending rid). *)
+    let rec merge ls rs =
+      match (ls, rs) with
+      | [], _ | _, [] -> ()
+      | (lk, lrecs) :: ls', (rk, rrecs) :: rs' ->
+        Meter.tick_c c_merge_step;
+        let c = Index.compare_keys lk rk in
+        if c < 0 then merge ls' rs
+        else if c > 0 then merge ls rs'
+        else begin
           List.iter
-            (fun rrow ->
-              let combined = combine_rows lrow rrow in
-              if keep combined then acc := combined :: !acc)
-            rres.xrows)
-        lres.xrows;
-      List.rev !acc
-  in
-  { desc = m.jm_desc; xrows }
+            (fun (lr : Record.t) ->
+              Array.blit lr.Record.values 0 vals 0 j.la;
+              srcs.(0) <- lr;
+              List.iter emit_record rrecs)
+            lrecs;
+          merge ls' rs'
+        end
+    in
+    merge (Index.ordered_entries lidx) (Index.ordered_entries ridx)
+  | PHash ->
+    let rrows = right_rows ~tick:(fun () -> Meter.tick_c c_hash_build) in
+    let tbl = VTbl.create (List.length rrows) in
+    (* postings reversed, so each key's rows come out in build order *)
+    List.iter
+      (fun ((rv, _) as row) ->
+        let key = List.map (fun (_, jj) -> rv.(jj)) j.equi in
+        VTbl.replace tbl key
+          (row :: Option.value (VTbl.find_opt tbl key) ~default:[]))
+      (List.rev rrows);
+    iter env j.left (fun lv ls ->
+        Meter.tick_c c_hash_probe;
+        match VTbl.find_opt tbl (probe_key lv) with
+        | None -> ()
+        | Some rrows ->
+          set_left lv ls;
+          List.iter (fun (rv, rs) -> emit_right rv rs) rrows)
+  | PNested ->
+    let rrows = right_rows ~tick:ignore in
+    iter env j.left (fun lv ls ->
+        set_left lv ls;
+        List.iter (fun (rv, rs) -> emit_right rv rs) rrows)
 
-and cexec_group cat ~env (g : cgroup) =
-  let m = ensure_group cat ~env g in
-  let r = cexec cat ~env g.gsub in
-  let desc = m.gm_desc in
-  let key_exprs = m.gm_keys in
-  let agg_specs = m.gm_aggs in
-  (* Accumulator per aggregate: (count, sum as float, current value). *)
-  let module Acc = struct
-    type t = {
-      mutable n : int;
-      mutable fsum : float;
-      mutable v : Value.t;  (* running sum / min / max *)
-    }
-
-    let make () = { n = 0; fsum = 0.0; v = Value.Null }
-  end in
-  let groups = VTbl.create (List.length r.xrows) in
-  let group_order = ref [] in
-  List.iter
-    (fun x ->
+and iter_group env g k =
+  let groups = VTbl.create 16 in
+  let order = ref [] in
+  let naggs = List.length g.gaggs in
+  iter env g.gsub (fun v _ ->
       Meter.tick_c c_agg_row;
-      let key = List.map (fun e -> Expr.eval e x.vals) key_exprs in
+      let key = List.map (fun e -> Expr.eval e v) g.gkeys in
       let accs =
         match VTbl.find_opt groups key with
         | Some a -> a
         | None ->
           Meter.tick_c c_group_init;
-          let a = Array.init (List.length agg_specs) (fun _ -> Acc.make ()) in
+          let a = Array.init naggs new_acc in
           VTbl.add groups key a;
-          group_order := key :: !group_order;
+          order := key :: !order;
           a
       in
-      List.iteri
-        (fun i (kind, e) ->
-          let acc = accs.(i) in
-          match kind with
-          | `Count_star -> acc.Acc.n <- acc.Acc.n + 1
-          | `Count ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then acc.Acc.n <- acc.Acc.n + 1
-          | `Sum ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then begin
-              acc.Acc.n <- acc.Acc.n + 1;
-              acc.Acc.v <-
-                (if Value.is_null acc.Acc.v then v else Value.add acc.Acc.v v)
-            end
-          | `Avg ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then begin
-              acc.Acc.n <- acc.Acc.n + 1;
-              acc.Acc.fsum <- acc.Acc.fsum +. Value.to_float v
-            end
-          | `Min ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then
-              if Value.is_null acc.Acc.v || Value.compare v acc.Acc.v < 0 then
-                acc.Acc.v <- v
-          | `Max ->
-            let v = Expr.eval e x.vals in
-            if not (Value.is_null v) then
-              if Value.is_null acc.Acc.v || Value.compare v acc.Acc.v > 0 then
-                acc.Acc.v <- v)
-        agg_specs)
-    r.xrows;
+      List.iteri (fun i spec -> accumulate v accs.(i) spec) g.gaggs);
   (* A grand aggregate (no keys) over an empty input still yields one row. *)
-  if key_exprs = [] && VTbl.length groups = 0 then begin
-    VTbl.add groups [] (Array.init (List.length agg_specs) (fun _ -> Acc.make ()));
-    group_order := [ [] ]
+  if g.gkeys = [] && VTbl.length groups = 0 then begin
+    VTbl.add groups [] (Array.init naggs new_acc);
+    order := [ [] ]
   end;
-  let finish key accs =
-    let agg_vals =
-      List.mapi
-        (fun i (kind, _) ->
-          let acc = accs.(i) in
-          match kind with
-          | `Count_star | `Count -> Value.Int acc.Acc.n
-          | `Sum | `Min | `Max -> acc.Acc.v
-          | `Avg ->
-            if acc.Acc.n = 0 then Value.Null
-            else Value.Float (acc.Acc.fsum /. float_of_int acc.Acc.n))
-        agg_specs
-    in
-    Meter.tick_c c_row_construct;
-    { vals = Array.of_list (key @ agg_vals); srcs = [||] }
-  in
-  let xrows =
-    List.rev_map (fun key -> finish key (VTbl.find groups key)) !group_order
-  in
-  let xrows =
-    match m.gm_having with
-    | None -> xrows
-    | Some h -> List.filter (fun x -> Expr.eval_pred h x.vals) xrows
-  in
-  { desc; xrows }
+  List.iter
+    (fun key ->
+      let accs = VTbl.find groups key in
+      Meter.tick_c c_row_construct;
+      let row = Array.of_list (key @ List.mapi (fun i spec -> finish accs.(i) spec) g.gaggs) in
+      match g.ghaving with
+      | Some h when not (Expr.eval_pred h row) -> ()
+      | _ -> k row [||])
+    (List.rev !order)
+
+let count p ~env =
+  let n = ref 0 in
+  iter env p.root (fun _ _ -> incr n);
+  !n
 
 (* ------------------------------------------------------------------ *)
-(* Compilation cache, keyed on the plan value's physical identity.  The
-   rule system compiles a plan once per rule and re-runs the same value on
-   every check, so this turns all per-execution schema/expression
-   resolution into pointer comparisons.  Ad-hoc plans (fresh values) just
-   compile again; the table is reset when it grows past a bound so one-shot
-   plans cannot accumulate. *)
+(* Binding results as temporary tables (§6.1).  Binding is unmetered:
+   the rule system charges ["bound_append"] when it hands a bound table
+   to a task ({!Temp_table.charge_bind}). *)
 
-module PTbl = Hashtbl.Make (struct
-  type t = plan
+let bind_row b ~stamps tmp vals srcs =
+  Temp_table.append_mapped tmp ~srcs ~slot_of:b.slot_of ~vals ~mat_of:b.mat_of
+    ~stamps
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+let binder_of p =
+  match p.binder with
+  | Some b -> b
+  | None -> invalid_arg "Query: plan not prepared for binding"
 
-let compiled : cnode PTbl.t = PTbl.create 64
+let bind_prepared p ~env ~name ~stamps =
+  let b = binder_of p in
+  let tmp = Temp_table.of_layout ~name b.blayout in
+  iter env p.root (bind_row b ~stamps tmp);
+  tmp
 
-let compile plan =
-  match PTbl.find_opt compiled plan with
-  | Some c -> c
-  | None ->
-    if PTbl.length compiled > 512 then PTbl.reset compiled;
-    let c = compile_node plan in
-    PTbl.add compiled plan c;
-    c
+(* The Appendix-A step behind [unique on]: move a bound table's rows into
+   one table per distinct value of the columns at positions [cols], keys
+   in first-seen order. *)
+let partition_bound tmp ~cols =
+  let tbl = VTbl.create (Temp_table.cardinal tmp) in
+  let order = ref [] in
+  let name = Temp_table.name tmp and lay = Temp_table.layout_of tmp in
+  Temp_table.split tmp (fun row ->
+      Meter.tick_c c_partition_row;
+      let key = List.map (Temp_table.get tmp row) cols in
+      match VTbl.find_opt tbl key with
+      | Some part -> part
+      | None ->
+        let part = Temp_table.of_layout ~name lay in
+        VTbl.add tbl key part;
+        order := (key, part) :: !order;
+        part);
+  List.rev !order
 
-let run cat ~env plan = cexec cat ~env (compile plan)
+(* ------------------------------------------------------------------ *)
+(* Ad-hoc queries: prepare, then execute into a materialized result.    *)
 
-let schema_of cat ~env plan = (desc_of cat ~env plan).schema
+let run cat ~env plan =
+  let p = prepare cat ~env plan in
+  let acc = ref [] in
+  iter
+    (Array.of_list (List.map snd env))
+    p.root
+    (fun v s -> acc := { vals = Array.copy v; srcs = Array.copy s } :: !acc);
+  { desc = p.pdesc; xrows = List.rev !acc }
+
+let schema_of cat ~env plan = prepared_schema (prepare cat ~env plan)
 
 let result_schema r = r.desc.schema
 let row_count r = List.length r.xrows
 let rows r = List.map (fun x -> Array.copy x.vals) r.xrows
 
-let partition r ~cols =
-  let positions =
-    List.map
-      (fun c ->
-        match Schema.find r.desc.schema c with
-        | Some i -> i
-        | None -> plan_error "partition: unknown column %s" c
-        | exception Schema.Ambiguous c -> plan_error "partition: ambiguous column %s" c)
-      cols
-  in
-  let tbl = VTbl.create (List.length r.xrows) in
-  let order = ref [] in
-  List.iter
-    (fun x ->
-      Meter.tick_c c_partition_row;
-      let key = List.map (fun i -> x.vals.(i)) positions in
-      match VTbl.find_opt tbl key with
-      | Some l -> l := x :: !l
-      | None ->
-        VTbl.add tbl key (ref [ x ]);
-        order := key :: !order)
-    r.xrows;
-  List.rev_map
-    (fun key ->
-      let rows = List.rev !(VTbl.find tbl key) in
-      (key, { desc = r.desc; xrows = rows }))
-    !order
-
-(* ------------------------------------------------------------------ *)
-(* Binding results as temporary tables (§6.1).                          *)
-
 let bind ?(overrides = []) ~name r =
-  let schema = Schema.unqualify r.desc.schema in
-  let arity = Schema.arity schema in
-  let override_for col =
-    List.assoc_opt (Schema.col schema col).Schema.cname overrides
-  in
-  (* Keep only pointer slots actually referenced by a non-overridden output
-     column (the §6.1 optimization; STRIP v2.0's footnote says it stored all
-     slots — we implement the described design). *)
-  let used = Array.make (max r.desc.nslots 1) false in
-  Array.iteri
-    (fun col prov ->
-      match (prov, override_for col) with
-      | Slot (s, _), None -> used.(s) <- true
-      | _ -> ())
-    r.desc.colprov;
-  let slot_map = Array.make (max r.desc.nslots 1) (-1) in
-  let nslots = ref 0 in
-  Array.iteri
-    (fun s u ->
-      if u then begin
-        slot_map.(s) <- !nslots;
-        incr nslots
-      end)
-    used;
-  let nmat = ref 0 in
-  let prov =
-    Array.init arity (fun col ->
-        match (r.desc.colprov.(col), override_for col) with
-        | Slot (s, o), None -> Temp_table.From_record (slot_map.(s), o)
-        | _ ->
-          let m = !nmat in
-          incr nmat;
-          Temp_table.Computed m)
-  in
-  let tmp = Temp_table.create ~name ~schema ~nslots:!nslots ~prov in
-  List.iter
-    (fun x ->
-      let srcs =
-        Array.of_list
-          (List.filteri
-             (fun s _ -> s < r.desc.nslots && used.(s))
-             (Array.to_list x.srcs))
-      in
-      let mats = Array.make !nmat Value.Null in
-      Array.iteri
-        (fun col p ->
-          match p with
-          | Temp_table.Computed m -> (
-            match override_for col with
-            | Some v -> mats.(m) <- v
-            | None -> mats.(m) <- x.vals.(col))
-          | Temp_table.From_record _ -> ())
-        prov;
-      Temp_table.append tmp ~srcs ~mats)
-    r.xrows;
+  let b = binder r.desc ~overrides:(List.map fst overrides) in
+  let stamps = Array.of_list (List.map snd overrides) in
+  let tmp = Temp_table.of_layout ~name b.blayout in
+  List.iter (fun x -> bind_row b ~stamps tmp x.vals x.srcs) r.xrows;
   tmp
 
 (* ------------------------------------------------------------------ *)
 
 (* When a catalog is supplied, annotate each join with the access path the
-   executor would choose right now (same selection function). *)
+   executor would choose right now (the strategy a preparation picks). *)
 let strategy_note cat ~env l r pred =
-  match
-    let ldesc = desc_of cat ~env l in
-    let rdesc = desc_of cat ~env r in
-    let desc = join_desc ldesc rdesc in
-    let la = Schema.arity ldesc.schema in
-    let equi =
-      match pred with
-      | None -> []
-      | Some p -> fst (split_equi ~left_arity:la (Expr.resolve desc.schema p))
-    in
-    let std = function
-      | Scan { rel; _ } -> (
-        match Catalog.resolve cat ~env rel with
-        | Some (Catalog.Std tb) -> Some tb
-        | _ -> None)
-      | _ -> None
-    in
-    pick_strategy ~ltb:(std l) ~rtb:(std r) equi
-  with
-  | PMerge ((_, lidx), (_, ridx)) ->
-    Printf.sprintf " [merge join via %s, %s]" (Index.name lidx) (Index.name ridx)
-  | PIndex (_, idx) -> Printf.sprintf " [index join via %s]" (Index.name idx)
-  | PHash -> " [hash join]"
-  | PNested -> " [nested loop]"
-  | exception _ -> ""
+  match prepare cat ~env (Join (l, r, pred)) with
+  | { root = NJoin { strategy; _ }; _ } -> (
+    match strategy with
+    | PMerge ((_, lidx), (_, ridx)) ->
+      Printf.sprintf " [merge join via %s, %s]" (Index.name lidx) (Index.name ridx)
+    | PIndex (_, idx) -> Printf.sprintf " [index join via %s]" (Index.name idx)
+    | PHash -> " [hash join]"
+    | PNested -> " [nested loop]")
+  | _ | (exception _) -> ""
 
 let rec explain_at ?cat ?(env = []) depth plan =
   let pad = String.make (depth * 2) ' ' in

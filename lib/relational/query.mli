@@ -2,19 +2,20 @@
 
     The planner side of the SQL subset STRIP v2.0 supports: scans,
     selections, theta-joins, projections, grouped aggregation, ordering and
-    limits.  Equi-joins pick an access path per execution, in priority
+    limits.  Equi-joins pick an access path when prepared, in priority
     order: merge join (both inputs are standard-table scans whose equi
     columns are covered by [Ordered] indexes — the two trees stream in key
     order), index join (the right input is a standard-table scan with any
     exactly-covering index — probe per left row), hash join otherwise;
     non-equi predicates fall back to a nested loop.
 
-    [run] compiles each plan value once (cached by physical identity) into
-    a tree whose schema/expression resolution and strategy choice are
-    memoized, then revalidated per execution by pointer comparison plus the
-    scanned tables' {!Table.index_gen} — so repeated rule checks skip all
-    name resolution while catalog rebuilds and later [CREATE INDEX]es are
-    still picked up.  Caching never changes meter ticks.
+    {!prepare} resolves a plan once — tables, join strategies, column
+    positions, scratch rows — and a prepared plan executes any number of
+    times with no name resolution.  It stays {!valid} while the catalog's
+    table set and the scanned tables' index sets are unchanged; the rule
+    system prepares each bound query at [create rule] and again only when
+    that check fails.  [run] prepares and executes through the same
+    executor.  Preparing never ticks a meter.
 
     Execution tracks provenance: a result column that is a verbatim copy of
     a standard-table attribute remembers which pointer slot and offset it
@@ -70,6 +71,49 @@ exception Plan_error of string
 (** Planning/typing failures: unknown relation, unresolvable column, ... *)
 
 val run : Catalog.t -> env:Catalog.env -> plan -> result
+(** Prepare and execute once. *)
+
+type prepared
+(** A plan resolved against a catalog and the layouts of the temporary
+    tables in an environment. *)
+
+val prepare :
+  ?bind:string list -> Catalog.t -> env:Catalog.env -> plan -> prepared
+(** [env]'s tables fix the layout (and the position) of every temporary
+    table the plan scans; execution takes the temporary tables as an array
+    in the same order.  [bind] prepares the plan for {!bind_prepared} too,
+    fixing the bound-table layout now; it names the output columns that
+    are stamped with a caller-supplied value instead of the computed one
+    (the rule system's [commit_time]), and names the output lacks are
+    ignored.
+    @raise Plan_error as {!run} would. *)
+
+val valid : prepared -> bool
+(** The preparation's dependency check: the catalog has added or dropped
+    no table, and no scanned table has gained or lost an index, since
+    {!prepare}.  A stale plan must be prepared again. *)
+
+val prepared_schema : prepared -> Schema.t
+
+val count : prepared -> env:Temp_table.t array -> int
+(** Execute and count the output rows. *)
+
+val bind_prepared :
+  prepared -> env:Temp_table.t array -> name:string -> stamps:Value.t array ->
+  Temp_table.t
+(** Execute straight into a new bound table with {!bind}'s layout;
+    [stamps.(j)] is the value of the [j]th column named in [prepare]'s
+    [bind].  Unmetered, like {!bind}.
+    @raise Plan_error if a temporary table's layout is not the one the
+    plan was prepared against.
+    @raise Invalid_argument if the plan was prepared without [bind]. *)
+
+val partition_bound : Temp_table.t -> cols:int list -> (Value.t list * Temp_table.t) list
+(** Move a bound table's rows into one table per distinct value of the
+    columns at positions [cols] (same name and layout; pins move with the
+    rows), keys in first-seen order, rows in their original order; one
+    ["partition_row"] tick per row.  The argument is left empty.  This is
+    the Appendix-A partitioning step behind [unique on]. *)
 
 val physical_index_join : bool ref
 (** Testing knob, default [true].  When [false], the index join's physical
@@ -80,23 +124,19 @@ val physical_index_join : bool ref
     differential tests assert this. *)
 
 val schema_of : Catalog.t -> env:Catalog.env -> plan -> Schema.t
-(** Output schema without executing (used by the rule compiler). *)
+(** Output schema without executing. *)
 
 val result_schema : result -> Schema.t
 val row_count : result -> int
 val rows : result -> Value.t array list
 (** Fully-materialized rows, in result order. *)
 
-val partition : result -> cols:string list -> (Value.t list * result) list
-(** Split the result by the values of the named (unqualified) columns,
-    preserving provenance; keys appear in first-seen order.  This is the
-    Appendix-A partitioning step behind [unique on].
-    @raise Plan_error on an unknown column. *)
-
 val bind : ?overrides:(string * Value.t) list -> name:string -> result -> Temp_table.t
 (** Materialize a result as a named bound table using pointer provenance
     where possible (§6.1).  [overrides] force named columns to a constant —
-    the rule system uses this to stamp [commit_time] at bind time. *)
+    the rule system uses this to stamp [commit_time] at bind time.
+    Unmetered: ["bound_append"] is charged when the table is handed to a
+    task ({!Temp_table.charge_bind}). *)
 
 val explain : ?cat:Catalog.t -> ?env:Catalog.env -> plan -> string
 (** Multi-line plan rendering.  With [?cat] (and optionally [?env]), each

@@ -288,15 +288,10 @@ let exec ?(hooks = no_hooks) ?on_view cat ~env (st : Sql_parser.statement) =
        raise (Query.Plan_error (Printf.sprintf "unknown table %s" name)));
     Unit
   | Sql_parser.Drop_index { table; iname } ->
-    let tb = table_of cat table in
-    (match Table.find_index tb iname with
-    | Some _ ->
-      raise
-        (Query.Plan_error
-           "DROP INDEX is not supported by this engine revision (indexes \
-            live for the table's lifetime)")
-    | None ->
-      raise (Query.Plan_error (Printf.sprintf "unknown index %s" iname)))
+    (try Table.drop_index (table_of cat table) iname
+     with Not_found ->
+       raise (Query.Plan_error (Printf.sprintf "unknown index %s" iname)));
+    Unit
   | Sql_parser.Select ast ->
     let plan = plan_select cat ~env ast in
     Rows (Query.run cat ~env plan)

@@ -73,6 +73,13 @@ let create_index t ~name ~kind ~cols =
   t.gen <- t.gen + 1;
   idx
 
+let drop_index t name =
+  if not (List.exists (fun i -> Index.name i = name) t.tindexes) then
+    raise Not_found;
+  t.tindexes <- List.filter (fun i -> Index.name i <> name) t.tindexes;
+  t.ixgen <- t.ixgen + 1;
+  t.gen <- t.gen + 1
+
 let find_index t name =
   List.find_opt (fun i -> Index.name i = name) t.tindexes
 

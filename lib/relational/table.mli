@@ -29,8 +29,8 @@ val cardinal : t -> int
 (** Number of live records. *)
 
 val generation : t -> int
-(** Mutation counter, bumped by every insert, update, delete and
-    {!create_index}.  Two observations of one table with the same
+(** Mutation counter, bumped by every insert, update, delete,
+    {!create_index} and {!drop_index}.  Two observations of one table with the same
     generation see the same rows, in the same order, and the same
     indexes — which lets checkpointing reuse an unchanged table's
     encoding. *)
@@ -39,6 +39,12 @@ val create_index : t -> name:string -> kind:Index.kind -> cols:string list -> In
 (** Build (and register) an index over existing rows.
     @raise Not_found if a column name is unknown.
     @raise Invalid_argument if the index name is taken. *)
+
+val drop_index : t -> string -> unit
+(** Unregister an index (SQL [DROP INDEX]); it is no longer maintained,
+    so a caller still holding its {!Index.t} must stop using it, as one
+    holding a dropped table must.
+    @raise Not_found if no index has this name. *)
 
 val find_index : t -> string -> Index.t option
 

@@ -6,13 +6,25 @@ type provenance =
 
 type row = int
 
+(* A validated static map.  Tables built from one layout share it
+   physically, so a prepared query checks a temporary table's shape with
+   one pointer comparison. *)
+type layout = {
+  lschema : Schema.t;
+  lnslots : int;
+  lnmats : int;
+  lprov : provenance array;
+}
+
 (* Columnar arena backing: tuple [i]'s source pointers live at
    [srcs.(i * nslots + s)] and its materialized cells at
-   [mats.(i * nmats + m)].  Both arenas grow geometrically, so building a
-   transition or bound table allocates no per-row list cells; a row handle
-   is just the tuple's index. *)
+   [mats.(i * nmats + m)].  Both arenas are allocated at the first append
+   and grow geometrically, so building a transition or bound table
+   allocates no per-row list cells and an empty table allocates no arena;
+   a row handle is just the tuple's index. *)
 type t = {
   tname : string;
+  lay : layout;
   tschema : Schema.t;
   nslots : int;
   nmats : int;
@@ -26,7 +38,7 @@ type t = {
 
 let initial_cap = 8
 
-let create ~name ~schema ~nslots ~prov =
+let layout ~schema ~nslots ~prov =
   if Array.length prov <> Schema.arity schema then
     invalid_arg "Temp_table.create: static map arity mismatch";
   let nmats =
@@ -46,18 +58,25 @@ let create ~name ~schema ~nslots ~prov =
         if s < 0 || s >= nslots then
           invalid_arg "Temp_table.create: pointer slot out of range")
     prov;
+  { lschema = schema; lnslots = nslots; lnmats = nmats; lprov = prov }
+
+let of_layout ~name lay =
   {
     tname = name;
-    tschema = schema;
-    nslots;
-    nmats;
-    prov;
-    srcs = (if nslots = 0 then [||] else Array.make (initial_cap * nslots) Record.dummy);
-    mats = (if nmats = 0 then [||] else Array.make (initial_cap * nmats) Value.Null);
-    cap = initial_cap;
+    lay;
+    tschema = lay.lschema;
+    nslots = lay.lnslots;
+    nmats = lay.lnmats;
+    prov = lay.lprov;
+    srcs = [||];
+    mats = [||];
+    cap = 0;
     nrows = 0;
     is_retired = false;
   }
+
+let create ~name ~schema ~nslots ~prov =
+  of_layout ~name (layout ~schema ~nslots ~prov)
 
 let create_materialized ~name ~schema =
   let prov = Array.init (Schema.arity schema) (fun i -> Computed i) in
@@ -68,46 +87,69 @@ let schema t = t.tschema
 let cardinal t = t.nrows
 let slots t = t.nslots
 let static_map t = Array.copy t.prov
+let layout_of t = t.lay
+
+let resize t cap =
+  if t.nslots > 0 then begin
+    let srcs = Array.make (cap * t.nslots) Record.dummy in
+    Array.blit t.srcs 0 srcs 0 (t.nrows * t.nslots);
+    t.srcs <- srcs
+  end;
+  if t.nmats > 0 then begin
+    let mats = Array.make (cap * t.nmats) Value.Null in
+    Array.blit t.mats 0 mats 0 (t.nrows * t.nmats);
+    t.mats <- mats
+  end;
+  t.cap <- cap
 
 let reserve t extra =
   let need = t.nrows + extra in
-  if need > t.cap then begin
-    let cap = ref (max t.cap initial_cap) in
-    while need > !cap do
-      cap := !cap * 2
-    done;
-    if t.nslots > 0 then begin
-      let srcs = Array.make (!cap * t.nslots) Record.dummy in
-      Array.blit t.srcs 0 srcs 0 (t.nrows * t.nslots);
-      t.srcs <- srcs
-    end;
-    if t.nmats > 0 then begin
-      let mats = Array.make (!cap * t.nmats) Value.Null in
-      Array.blit t.mats 0 mats 0 (t.nrows * t.nmats);
-      t.mats <- mats
-    end;
-    t.cap <- !cap
-  end
+  if need > t.cap then resize t (max need (2 * t.cap))
+
+(* Room for one more tuple, growing geometrically. *)
+let grow_for_one t =
+  if t.is_retired then invalid_arg "Temp_table.append: table is retired";
+  if t.nrows = t.cap then resize t (max initial_cap (2 * t.cap))
 
 let append t ~srcs ~mats =
-  if t.is_retired then invalid_arg "Temp_table.append: table is retired";
   if Array.length srcs <> t.nslots || Array.length mats <> t.nmats then
     invalid_arg "Temp_table.append: slot/materialized arity mismatch";
-  Array.iter Record.pin srcs;
   Meter.tick_c c_bound_append;
-  reserve t 1;
-  if t.nslots > 0 then Array.blit srcs 0 t.srcs (t.nrows * t.nslots) t.nslots;
-  if t.nmats > 0 then Array.blit mats 0 t.mats (t.nrows * t.nmats) t.nmats;
+  grow_for_one t;
+  let sb = t.nrows * t.nslots and mb = t.nrows * t.nmats in
+  for s = 0 to t.nslots - 1 do
+    let r = srcs.(s) in
+    Record.pin r;
+    t.srcs.(sb + s) <- r
+  done;
+  for m = 0 to t.nmats - 1 do
+    t.mats.(mb + m) <- mats.(m)
+  done;
   t.nrows <- t.nrows + 1
+
+let append_mapped t ~srcs ~slot_of ~vals ~mat_of ~stamps =
+  grow_for_one t;
+  let sb = t.nrows * t.nslots and mb = t.nrows * t.nmats in
+  for s = 0 to t.nslots - 1 do
+    let r = srcs.(slot_of.(s)) in
+    Record.pin r;
+    t.srcs.(sb + s) <- r
+  done;
+  for m = 0 to t.nmats - 1 do
+    let c = mat_of.(m) in
+    t.mats.(mb + m) <- (if c >= 0 then vals.(c) else stamps.(-1 - c))
+  done;
+  t.nrows <- t.nrows + 1
+
+let charge_bind t = Meter.tick_cn c_bound_append t.nrows
 
 let append_values t values =
   if t.nslots <> 0 then
     invalid_arg "Temp_table.append_values: table has pointer slots";
-  if t.is_retired then invalid_arg "Temp_table.append: table is retired";
   if Array.length values <> Array.length t.prov then
     invalid_arg "Temp_table.append: slot/materialized arity mismatch";
   Meter.tick_c c_bound_append;
-  reserve t 1;
+  grow_for_one t;
   (* Write the values directly into the arena in materialized-cell order. *)
   let base = t.nrows * t.nmats in
   Array.iteri
@@ -124,10 +166,21 @@ let get t row col =
     Record.value t.srcs.((row * t.nslots) + slot) off
   | Computed m -> t.mats.((row * t.nmats) + m)
 
-let row_values t row =
-  Array.init (Array.length t.prov) (fun c -> get t row c)
+let fill_values t row buf =
+  let sb = row * t.nslots and mb = row * t.nmats in
+  for c = 0 to Array.length t.prov - 1 do
+    buf.(c) <-
+      (match t.prov.(c) with
+      | From_record (slot, off) -> t.srcs.(sb + slot).Record.values.(off)
+      | Computed m -> t.mats.(mb + m))
+  done
 
-let row_source t row slot = t.srcs.((row * t.nslots) + slot)
+let row_values t row =
+  let buf = Array.make (Array.length t.prov) Value.Null in
+  fill_values t row buf;
+  buf
+
+let fill_sources t row buf = Array.blit t.srcs (row * t.nslots) buf 0 t.nslots
 
 let iter t f =
   for i = 0 to t.nrows - 1 do
@@ -141,11 +194,10 @@ let fold t ~init ~f =
   done;
   !acc
 
-let same_static_map t prov = t.prov == prov || t.prov = prov
-
 let same_layout a b =
-  Schema.equal_layout a.tschema b.tschema
-  && a.nslots = b.nslots && a.prov = b.prov
+  a.lay == b.lay
+  || Schema.equal_layout a.tschema b.tschema
+     && a.nslots = b.nslots && a.prov = b.prov
 
 let clear_arena t =
   if t.nslots > 0 then Array.fill t.srcs 0 (t.nrows * t.nslots) Record.dummy;
@@ -181,6 +233,29 @@ let absorb dst src =
     invalid_arg
       (Printf.sprintf "Temp_table.absorb: layout mismatch between %s and %s"
          dst.tname src.tname)
+
+let split t dest =
+  for i = 0 to t.nrows - 1 do
+    let d = dest i in
+    if d == t || d.lay != t.lay then
+      invalid_arg "Temp_table.split: destination is the source or of another layout";
+    grow_for_one d;
+    Array.blit t.srcs (i * t.nslots) d.srcs (d.nrows * d.nslots) t.nslots;
+    Array.blit t.mats (i * t.nmats) d.mats (d.nrows * d.nmats) t.nmats;
+    d.nrows <- d.nrows + 1
+  done;
+  clear_arena t
+
+let copy t =
+  let c = of_layout ~name:t.tname t.lay in
+  reserve c t.nrows;
+  for i = 0 to (t.nrows * t.nslots) - 1 do
+    Record.pin t.srcs.(i)
+  done;
+  Array.blit t.srcs 0 c.srcs 0 (t.nrows * t.nslots);
+  Array.blit t.mats 0 c.mats 0 (t.nrows * t.nmats);
+  c.nrows <- t.nrows;
+  c
 
 let retire t =
   if not t.is_retired then begin

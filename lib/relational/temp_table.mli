@@ -21,9 +21,21 @@ type provenance =
 
 type t
 
-val create : name:string -> schema:Schema.t -> nslots:int -> prov:provenance array -> t
+type layout
+(** A validated schema + static map, shared physically by every table
+    built from it. *)
+
+val layout : schema:Schema.t -> nslots:int -> prov:provenance array -> layout
 (** [prov] must have one entry per schema column; materialized cells must be
     numbered densely from 0.  @raise Invalid_argument otherwise. *)
+
+val of_layout : name:string -> layout -> t
+(** An empty table; no arena is allocated until the first append. *)
+
+val layout_of : t -> layout
+
+val create : name:string -> schema:Schema.t -> nslots:int -> prov:provenance array -> t
+(** [of_layout ~name (layout ~schema ~nslots ~prov)]. *)
 
 val create_materialized : name:string -> schema:Schema.t -> t
 (** Convenience: no pointer slots, every column materialized. *)
@@ -34,21 +46,34 @@ val cardinal : t -> int
 val slots : t -> int
 val static_map : t -> provenance array
 
-val same_static_map : t -> provenance array -> bool
-(** Does this table's static map equal [prov]?  Physical equality is checked
-    first, so layouts shared via {!Strip_rules} transition caching compare in
-    O(1). *)
-
 type row
 (** One temporary tuple. *)
 
 val reserve : t -> int -> unit
-(** Pre-grow the backing arenas so the next [n] appends don't reallocate.
-    Purely a capacity hint; contents and metering are unaffected. *)
+(** Pre-grow the backing arenas so the next [n] appends don't reallocate
+    (an empty table gets exactly [n] rows of room).  Purely a capacity
+    hint; contents and metering are unaffected. *)
 
 val append : t -> srcs:Record.t array -> mats:Value.t array -> unit
-(** Add a tuple; pins each source record.
+(** Add a tuple; pins each source record and ticks ["bound_append"].
     @raise Invalid_argument on arity mismatch with the static map. *)
+
+val append_mapped :
+  t ->
+  srcs:Record.t array ->
+  slot_of:int array ->
+  vals:Value.t array ->
+  mat_of:int array ->
+  stamps:Value.t array ->
+  unit
+(** Unmetered append of a tuple projected from a wider row: source slot
+    [s] is [srcs.(slot_of.(s))] (pinned), materialized cell [m] is
+    [vals.(mat_of.(m))], or [stamps.(-1 - mat_of.(m))] where [mat_of.(m)]
+    is negative.  Binding writes rows this way; {!charge_bind} ticks
+    them when the table is handed to a task. *)
+
+val charge_bind : t -> unit
+(** Tick ["bound_append"] once per tuple held. *)
 
 val append_values : t -> Value.t array -> unit
 (** Add a fully-materialized tuple (table must have zero slots). *)
@@ -59,10 +84,12 @@ val get : t -> row -> int -> Value.t
 val row_values : t -> row -> Value.t array
 (** All column values of a tuple, materialized into a fresh array. *)
 
-val row_source : t -> row -> int -> Record.t
-(** [row_source t row slot]: the record in pointer slot [slot] of this
-    tuple.  (Tuples live in their table's arena, so reading a slot needs
-    the table.) *)
+val fill_values : t -> row -> Value.t array -> unit
+(** [row_values] into a caller-owned array of the table's arity. *)
+
+val fill_sources : t -> row -> Record.t array -> unit
+(** Copy a tuple's source pointers into a caller-owned array of
+    {!slots} cells (no pinning). *)
 
 val iter : t -> (row -> unit) -> unit
 (** Iterate tuples in insertion order. *)
@@ -78,6 +105,16 @@ val absorb : t -> t -> unit
     [src]'s pins are released.  Either way [src] is emptied (but not
     retired).
     @raise Invalid_argument on any other layout mismatch. *)
+
+val split : t -> (row -> t) -> unit
+(** [split t dest] moves each tuple of [t], in order, to the end of the
+    table [dest row] names, which must be another unretired table of
+    [t]'s layout; pins move with the tuples.  [t] is left empty (but not
+    retired).  Unmetered.
+    @raise Invalid_argument on any other destination. *)
+
+val copy : t -> t
+(** Same name, layout and tuples; pins each source record again.  Unmetered. *)
 
 val retire : t -> unit
 (** Drop the table's contents, unpinning every source record.  Idempotent.

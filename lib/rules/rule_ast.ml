@@ -27,21 +27,51 @@ type t = {
   delay : float;
 }
 
-let event_matches ~schema event (change : Tlog.change) =
-  match (event, change) with
-  | On_insert, Tlog.Inserted _ -> true
-  | On_delete, Tlog.Deleted _ -> true
-  | On_update [], Tlog.Updated _ -> true
-  | On_update cols, Tlog.Updated { old_rec; new_rec } ->
-    List.exists
-      (fun col ->
-        match Schema.find schema col with
-        | Some i ->
-          not
-            (Value.equal (Record.value old_rec i) (Record.value new_rec i))
-        | None -> false)
-      cols
-  | (On_insert | On_delete | On_update _), _ -> false
+type trigger = {
+  on_insert : bool;
+  on_delete : bool;
+  on_any_update : bool;
+  update_cols : int array;  (* positions whose change triggers *)
+}
+
+let resolve_events ~schema events =
+  let unknown = ref None in
+  let cols =
+    List.concat_map
+      (function
+        | On_update cols ->
+          List.filter_map
+            (fun col ->
+              match Schema.find schema col with
+              | Some i -> Some i
+              | None ->
+                if !unknown = None then unknown := Some col;
+                None)
+            cols
+        | On_insert | On_delete -> [])
+      events
+  in
+  match !unknown with
+  | Some col -> Error col
+  | None ->
+    Ok
+      {
+        on_insert = List.mem On_insert events;
+        on_delete = List.mem On_delete events;
+        on_any_update = List.mem (On_update []) events;
+        update_cols = Array.of_list cols;
+      }
+
+let fires tr (change : Tlog.change) =
+  match change with
+  | Tlog.Inserted _ -> tr.on_insert
+  | Tlog.Deleted _ -> tr.on_delete
+  | Tlog.Updated { old_rec; new_rec } ->
+    tr.on_any_update
+    || Array.exists
+         (fun i ->
+           not (Value.equal (Record.value old_rec i) (Record.value new_rec i)))
+         tr.update_cols
 
 let pp_event ppf = function
   | On_insert -> Format.pp_print_string ppf "inserted"

@@ -43,11 +43,17 @@ type t = {
   delay : float;  (** release delay in seconds; 0 = release at commit *)
 }
 
-val event_matches :
-  schema:Strip_relational.Schema.t -> event -> Strip_txn.Tlog.change -> bool
-(** Does a log entry trigger this event?  [On_update cols] matches an
-    update that changed at least one of [cols] (any column when the list is
-    empty); the names are resolved against the table's [schema], and
-    unknown names never match. *)
+type trigger
+(** A rule's events resolved against its table's schema. *)
+
+val resolve_events :
+  schema:Strip_relational.Schema.t -> event list -> (trigger, string) result
+(** Resolve the columns of every [On_update] to positions; [Error col]
+    names the first column the schema lacks. *)
+
+val fires : trigger -> Strip_txn.Tlog.change -> bool
+(** Does a log entry trigger any of the events?  [On_update cols] matches
+    an update that changed at least one of [cols] (any column when the
+    list is empty). *)
 
 val pp : Format.formatter -> t -> unit

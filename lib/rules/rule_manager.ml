@@ -18,13 +18,32 @@ exception Rule_error of string
 
 let rule_error fmt = Printf.ksprintf (fun s -> raise (Rule_error s)) fmt
 
+(* A bound query, prepared against the catalog and the rule table's
+   transition layout; prepared again when its dependency check fails. *)
+type query = {
+  plan : Query.plan;
+  bind_as : string option;
+  mutable prep : Query.prepared;
+  mutable owned : string list;  (* the [unique on] columns it outputs *)
+  mutable key_cols : int list;  (* their output positions *)
+}
+
 type compiled = {
   rule : Rule_ast.t;
-  cond : (Query.plan * string option) list;
-  eval : (Query.plan * string option) list;
+  cond : query list;
+  eval : query list;
   (* declared layout of every named bound table, for merge compatibility *)
   bound_schemas : (string * Schema.t) list;
+  mutable trigger : Rule_ast.trigger;
+  mutable trigger_schema : Schema.t;  (* the table schema it resolved against *)
+  fn : user_fun option ref;  (* the user function's registration cell *)
 }
+
+(* What a bound query produced at one firing. *)
+type output =
+  | Rows of int  (* not bound: only the row count matters *)
+  | Whole of string * Temp_table.t
+  | Keyed of query * Temp_table.t  (* holds [unique on] columns: split at firing *)
 
 type t = {
   cat : Catalog.t;
@@ -32,7 +51,7 @@ type t = {
   clock : Clock.t;
   fault : Fault.t option;
   dur : Durable.t option;
-  funcs : (string, user_fun) Hashtbl.t;
+  funcs : (string, user_fun option ref) Hashtbl.t;  (* lowercased name *)
   by_table : (string, compiled list ref) Hashtbl.t;
   mutable all_rules : compiled list;  (* creation order *)
   reg : Unique.t;
@@ -139,11 +158,19 @@ let submit t task =
   | Some f -> f task
   | None -> rule_error "no task submitter installed (call set_submitter)"
 
-let register_function t name fn =
-  Hashtbl.replace t.funcs (String.lowercase_ascii name) fn
+(* One cell per function name, shared by every rule executing it, so a
+   firing reaches its function without hashing or lowercasing the name
+   and a later registration is still seen. *)
+let function_cell t name =
+  let key = String.lowercase_ascii name in
+  match Hashtbl.find_opt t.funcs key with
+  | Some cell -> cell
+  | None ->
+    let cell = ref None in
+    Hashtbl.add t.funcs key cell;
+    cell
 
-let find_function t name =
-  Hashtbl.find_opt t.funcs (String.lowercase_ascii name)
+let register_function t name fn = function_cell t name := Some fn
 
 let registry t = t.reg
 
@@ -213,7 +240,48 @@ let reset_stats t =
 (* ------------------------------------------------------------------ *)
 (* Rule compilation.                                                    *)
 
-let transition_names = [ "inserted"; "deleted"; "new"; "old" ]
+(* The system stamps a bound table's [commit_time] column, if it has one,
+   with the firing's clock. *)
+let stamped = [ "commit_time" ]
+
+(* Testing knob: when [true], every firing runs its queries ad hoc —
+   [Query.run] and [Query.bind], preparing afresh — the reference the
+   prepared path is checked against. *)
+let reference_firing = ref false
+
+let trigger_for (rule : Rule_ast.t) schema =
+  match Rule_ast.resolve_events ~schema rule.events with
+  | Ok trigger -> trigger
+  | Error col ->
+    rule_error "rule %s: unknown column %s in when updated" rule.rname col
+
+let prepare_parts t (rule : Rule_ast.t) ~env plan bind_as =
+  let prep =
+    try Query.prepare ?bind:(Option.map (fun _ -> stamped) bind_as) t.cat ~env plan
+    with Query.Plan_error msg -> (
+      match bind_as with
+      | Some n -> rule_error "rule %s, bound table %s: %s" rule.rname n msg
+      | None -> rule_error "rule %s: %s" rule.rname msg)
+  in
+  let schema = Query.prepared_schema prep in
+  let owned =
+    match (rule.uniqueness, bind_as) with
+    | Rule_ast.Unique_on cols, Some _ -> List.filter (Schema.mem schema) cols
+    | _ -> []
+  in
+  let position col =
+    match Schema.find schema col with
+    | Some i -> i
+    | None | (exception Schema.Ambiguous _) ->
+      rule_error "rule %s: ambiguous unique column %s" rule.rname col
+  in
+  (prep, owned, List.map position owned)
+
+let reprepare t rule ~env q =
+  let prep, owned, key_cols = prepare_parts t rule ~env q.plan q.bind_as in
+  q.prep <- prep;
+  q.owned <- owned;
+  q.key_cols <- key_cols
 
 let compile_rule t (rule : Rule_ast.t) =
   let base =
@@ -221,45 +289,35 @@ let compile_rule t (rule : Rule_ast.t) =
     | Some tb -> Table.schema tb
     | None -> rule_error "rule %s: unknown table %s" rule.rname rule.rtable
   in
-  let tschema =
-    Schema.make
-      (Schema.columns (Schema.unqualify base)
-      @ [ Schema.column Transition.execute_order_column Value.TInt ])
-  in
+  let trigger = trigger_for rule base in
+  (* Queries are prepared against empty transition tables of the rule
+     table's layout — the layout every commit's tables share. *)
+  let env = Transition.env (Transition.build ~schema:base []) in
   let resolve_rel name =
-    if List.mem name transition_names then Some (tschema, `Tmp)
-    else
-      match Catalog.find_table t.cat name with
-      | Some tb -> Some (Table.schema tb, `Std)
-      | None -> None
+    match List.assoc_opt name env with
+    | Some tmp -> Some (Temp_table.schema tmp, `Tmp)
+    | None ->
+      Option.map (fun tb -> (Table.schema tb, `Std)) (Catalog.find_table t.cat name)
   in
-  let plan_bound (bq : Rule_ast.bound_query) =
+  let prepare_bound (bq : Rule_ast.bound_query) =
     let plan =
       try Sql_parser.plan_select ~resolve_rel bq.query
       with Sql_parser.Parse_error msg ->
         rule_error "rule %s: %s" rule.rname msg
     in
-    (plan, bq.bind_as)
+    let prep, owned, key_cols = prepare_parts t rule ~env plan bq.bind_as in
+    { plan; bind_as = bq.bind_as; prep; owned; key_cols }
   in
-  let cond = List.map plan_bound rule.condition in
-  let eval = List.map plan_bound rule.evaluate in
-  (* Output schemas of the bound queries (for layout validation) — computed
-     against empty transition tables. *)
-  let dummy = Transition.build ~schema:base ~table:rule.rtable [] in
-  let env = Transition.env dummy in
+  let cond = List.map prepare_bound rule.condition in
+  let eval = List.map prepare_bound rule.evaluate in
   let bound_schemas =
     List.filter_map
-      (fun (plan, name) ->
-        match name with
-        | None -> None
-        | Some n -> (
-          match Query.schema_of t.cat ~env plan with
-          | sch -> Some (n, Schema.unqualify sch)
-          | exception Query.Plan_error msg ->
-            rule_error "rule %s, bound table %s: %s" rule.rname n msg))
+      (fun q ->
+        Option.map
+          (fun n -> (n, Schema.unqualify (Query.prepared_schema q.prep)))
+          q.bind_as)
       (cond @ eval)
   in
-  Transition.retire dummy;
   (* Unique columns must come from the bound tables. *)
   (match rule.uniqueness with
   | Rule_ast.Unique_on cols ->
@@ -274,13 +332,12 @@ let compile_rule t (rule : Rule_ast.t) =
             rule.rname col)
       cols
   | Rule_ast.Not_unique | Rule_ast.Unique -> ());
+  let fn = function_cell t rule.func in
   (* Bound tables of rules executing the same function must be defined
      identically (§2), so batches can merge. *)
   List.iter
     (fun other ->
-      if String.lowercase_ascii other.rule.Rule_ast.func
-         = String.lowercase_ascii rule.func
-      then
+      if other.fn == fn then
         List.iter
           (fun (n, sch) ->
             match List.assoc_opt n other.bound_schemas with
@@ -292,7 +349,7 @@ let compile_rule t (rule : Rule_ast.t) =
             | _ -> ())
           bound_schemas)
     t.all_rules;
-  { rule; cond; eval; bound_schemas }
+  { rule; cond; eval; bound_schemas; trigger; trigger_schema = base; fn }
 
 let create_rule t rule =
   if
@@ -396,11 +453,30 @@ let record_provenance p ~(task : Task.t) ~txid ~now ~ops =
     ops
 
 (* ------------------------------------------------------------------ *)
+(* Running one bound query at a firing.                                 *)
+
+let output t compiled ~trans ~stamps q =
+  let reference = !reference_firing in
+  if (not reference) && not (Query.valid q.prep) then
+    reprepare t compiled.rule ~env:(Transition.env trans) q;
+  let run () = Query.run t.cat ~env:(Transition.env trans) q.plan in
+  let env = trans.Transition.tables in
+  match q.bind_as with
+  | None -> Rows (if reference then Query.row_count (run ()) else Query.count q.prep ~env)
+  | Some name ->
+    let tmp =
+      if reference then
+        Query.bind ~overrides:(List.combine stamped (Array.to_list stamps)) ~name (run ())
+      else Query.bind_prepared q.prep ~env ~name ~stamps
+    in
+    if q.owned = [] then Whole (name, tmp) else Keyed (q, tmp)
+
+(* ------------------------------------------------------------------ *)
 (* Action execution.                                                    *)
 
-let rec run_action t task =
+let rec run_action t cell task =
   let func = task.Task.func_name in
-  match find_function t func with
+  match !cell with
   | None -> rule_error "user function %s is not registered" func
   | Some fn ->
     (* A fresh firing must now start a new transaction (§2). *)
@@ -477,25 +553,22 @@ let rec run_action t task =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Firing: bind results, partition, merge-or-create tasks.              *)
+(* Firing: hand the bound tables to tasks, merging unique batches.      *)
 
-and fire t compiled (named_results : (string * Query.result) list) =
+and fire t compiled named =
   let rule = compiled.rule in
   let now = Clock.now t.clock in
   let release = now +. rule.Rule_ast.delay in
   t.firings <- t.firings + 1;
-  let overrides_for result =
-    if Schema.mem (Query.result_schema result) "commit_time" then
-      [ ("commit_time", Value.Float now) ]
-    else []
+  (* The rule task is a child span of the transaction that fired it. *)
+  let new_task ?unique_key ?ctx bound =
+    Task.create ~klass:Task.Recompute ~func_name:rule.Rule_ast.func ?unique_key
+      ~bound ?ctx ~release_time:release ~created_at:now
+      (fun task -> run_action t compiled.fn task)
   in
-  let bind_all parts =
-    List.map
-      (fun (name, result) ->
-        (name, Query.bind ~overrides:(overrides_for result) ~name result))
-      parts
-  in
-  let merge_or_create ~key named =
+  let merge_or_create ~key bound =
+    (* the bind charge: every table is handed over here exactly once *)
+    List.iter (fun (_, tmp) -> Temp_table.charge_bind tmp) bound;
     match Unique.find t.reg ~func:rule.Rule_ast.func ~key with
     | Some queued ->
       (* Append this firing's rows to the queued TCB's bound tables. *)
@@ -526,11 +599,10 @@ and fire t compiled (named_results : (string * Query.result) list) =
              ]
             @ ctx_args queued @ from_args)
           "merge");
-      let fresh = bind_all named in
       if t.dur <> None then
         log_uq t
           (Wal.Uq_merge
-             { func = rule.Rule_ast.func; key; bound = bound_rows_of fresh });
+             { func = rule.Rule_ast.func; key; bound = bound_rows_of bound });
       List.iter
         (fun (name, tmp) ->
           match List.assoc_opt name queued.Task.bound with
@@ -540,11 +612,9 @@ and fire t compiled (named_results : (string * Query.result) list) =
             rule_error
               "rule %s: queued transaction for %s lacks bound table %s"
               rule.Rule_ast.rname rule.Rule_ast.func name)
-        fresh
+        bound
     | None ->
       t.created <- t.created + 1;
-      let bound = bind_all named in
-      (* The rule task is a child span of the transaction that fired it. *)
       let ctx = Option.map Span.child t.cur_ctx in
       if t.dur <> None then begin
         log_uq t
@@ -569,51 +639,52 @@ and fire t compiled (named_results : (string * Query.result) list) =
                  span = c.Span.span;
                })
       end;
-      let task =
-        Task.create ~klass:Task.Recompute ~func_name:rule.Rule_ast.func
-          ~unique_key:key ~bound ?ctx ~release_time:release ~created_at:now
-          (fun task -> run_action t task)
-      in
+      let task = new_task ~unique_key:key ?ctx bound in
       Unique.register t.reg ~func:rule.Rule_ast.func ~key task;
       submit t task
+  in
+  let whole =
+    List.filter_map
+      (function Whole (n, tmp) -> Some (n, tmp) | Rows _ | Keyed _ -> None)
+      named
   in
   match rule.Rule_ast.uniqueness with
   | Rule_ast.Not_unique ->
     t.created <- t.created + 1;
     let ctx = Option.map Span.child t.cur_ctx in
-    let task =
-      Task.create ~klass:Task.Recompute ~func_name:rule.Rule_ast.func
-        ~bound:(bind_all named_results) ?ctx ~release_time:release
-        ~created_at:now
-        (fun task -> run_action t task)
-    in
-    submit t task
-  | Rule_ast.Unique -> merge_or_create ~key:[] named_results
+    List.iter (fun (_, tmp) -> Temp_table.charge_bind tmp) whole;
+    submit t (new_task ?ctx whole)
+  | Rule_ast.Unique -> merge_or_create ~key:[] whole
   | Rule_ast.Unique_on cols ->
-    (* Appendix A: partition the bound tables that contain unique columns;
-       pass the others whole.  The unique key ranges over the cartesian
-       product of the per-table distinct sub-keys (column names are unique
-       across bound tables). *)
-    let with_cols, without_cols =
-      List.partition
-        (fun (_, result) ->
-          List.exists
-            (fun col -> Schema.mem (Query.result_schema result) col)
-            cols)
-        named_results
+    (* Appendix A: the bound tables that contain unique columns arrive
+       partitioned by them; the others pass whole to every partition.  The
+       unique key ranges over the cartesian product of the per-table
+       distinct sub-keys (column names are unique across bound tables). *)
+    let parted =
+      List.filter_map
+        (function
+          | Keyed (q, tmp) ->
+            Some
+              (Temp_table.name tmp, q.owned, Query.partition_bound tmp ~cols:q.key_cols)
+          | Rows _ | Whole _ -> None)
+        named
+    in
+    let n = List.fold_left (fun acc (_, _, ps) -> acc * List.length ps) 1 parted in
+    (* A table goes to every partition it is part of, a copy each time but
+       the last: a merge empties what it absorbs. *)
+    let share tmp uses = (tmp, ref uses) in
+    let take (tmp, left) =
+      decr left;
+      if !left = 0 then tmp else Temp_table.copy tmp
     in
     let parted =
       List.map
-        (fun (name, result) ->
-          let owned =
-            List.filter
-              (fun col -> Schema.mem (Query.result_schema result) col)
-              cols
-          in
-          (name, owned, Query.partition result ~cols:owned))
-        with_cols
+        (fun (name, owned, ps) ->
+          let uses = if ps = [] then 0 else n / List.length ps in
+          (name, owned, List.map (fun (k, sub) -> (k, share sub uses)) ps))
+        parted
     in
-    (* Cartesian product across the partitioned tables. *)
+    let whole = List.map (fun (name, tmp) -> (name, share tmp n)) whole in
     let rec combos acc = function
       | [] -> [ List.rev acc ]
       | (name, owned, parts) :: rest ->
@@ -621,35 +692,47 @@ and fire t compiled (named_results : (string * Query.result) list) =
           (fun (key, sub) -> combos ((name, owned, key, sub) :: acc) rest)
           parts
     in
-    let all = combos [] parted in
-    List.iter
-      (fun combo ->
-        (* Key ordered by the rule's unique column list. *)
-        let key =
-          List.map
-            (fun col ->
-              let rec find = function
-                | [] -> assert false
-                | (_, owned, key, _) :: rest -> (
-                  match
-                    List.find_opt (fun (c, _) -> c = col)
-                      (List.combine owned key)
-                  with
-                  | Some (_, v) -> v
-                  | None -> find rest)
-              in
-              find combo)
-            cols
-        in
-        let named =
-          List.map (fun (name, _, _, sub) -> (name, sub)) combo
-          @ without_cols
-        in
-        merge_or_create ~key named)
-      all
+    if n = 0 then begin
+      List.iter (fun (_, (tmp, _)) -> Temp_table.retire tmp) whole;
+      List.iter
+        (fun (_, _, ps) -> List.iter (fun (_, (tmp, _)) -> Temp_table.retire tmp) ps)
+        parted
+    end
+    else
+      List.iter
+        (fun combo ->
+          (* Key ordered by the rule's unique column list. *)
+          let rec lookup col = function
+            | [] -> assert false
+            | (_, owned, key, _) :: rest -> (
+              match List.find_index (String.equal col) owned with
+              | Some j -> List.nth key j
+              | None -> lookup col rest)
+          in
+          let key = List.map (fun col -> lookup col combo) cols in
+          merge_or_create ~key
+            (List.map (fun (name, _, _, sub) -> (name, take sub)) combo
+            @ List.map (fun (name, tmp) -> (name, take tmp)) whole))
+        (combos [] parted)
 
 (* ------------------------------------------------------------------ *)
 (* Commit-time processing (§6.3).                                       *)
+
+and check_rule t compiled trans =
+  let stamps = [| Value.Float (Clock.now t.clock) |] in
+  let conds = List.map (output t compiled ~trans ~stamps) compiled.cond in
+  let holds = function
+    | Rows n -> n > 0
+    | Whole (_, tmp) | Keyed (_, tmp) -> Temp_table.cardinal tmp > 0
+  in
+  if List.for_all holds conds then
+    fire t compiled (conds @ List.map (output t compiled ~trans ~stamps) compiled.eval)
+  else
+    List.iter
+      (function
+        | Rows _ -> ()
+        | Whole (_, tmp) | Keyed (_, tmp) -> Temp_table.retire tmp)
+      conds
 
 and process_commit t txn =
   let log = Transaction.log txn in
@@ -661,8 +744,7 @@ and process_commit t txn =
         match Hashtbl.find_opt t.by_table table with
         | None | Some { contents = [] } -> ()
         | Some { contents = rules } ->
-          let tb = Catalog.table_exn t.cat table in
-          let schema = Table.schema tb in
+          let schema = Table.schema (Catalog.table_exn t.cat table) in
           let entries =
             match tables with
             | [ _ ] -> Lazy.force all
@@ -671,42 +753,19 @@ and process_commit t txn =
                 (fun (e : Tlog.entry) -> e.table = table)
                 (Lazy.force all)
           in
-          let trans = Transition.build ~schema ~table entries in
-          let env = Transition.env trans in
+          let trans = Transition.build ~schema entries in
           List.iter
             (fun compiled ->
               Meter.tick_c c_rule_check;
-              let triggered =
+              if compiled.trigger_schema != schema then begin
+                compiled.trigger <- trigger_for compiled.rule schema;
+                compiled.trigger_schema <- schema
+              end;
+              if
                 List.exists
-                  (fun (e : Tlog.entry) ->
-                    List.exists
-                      (fun ev -> Rule_ast.event_matches ~schema ev e.change)
-                      compiled.rule.Rule_ast.events)
+                  (fun (e : Tlog.entry) -> Rule_ast.fires compiled.trigger e.change)
                   entries
-              in
-              if triggered then begin
-                let run_plans plans =
-                  List.map
-                    (fun (plan, name) -> (Query.run t.cat ~env plan, name))
-                    plans
-                in
-                let cond_results = run_plans compiled.cond in
-                let ok =
-                  List.for_all
-                    (fun (r, _) -> Query.row_count r > 0)
-                    cond_results
-                in
-                if ok then begin
-                  let eval_results = run_plans compiled.eval in
-                  let named =
-                    List.filter_map
-                      (fun (r, name) ->
-                        match name with Some n -> Some (n, r) | None -> None)
-                      (cond_results @ eval_results)
-                  in
-                  fire t compiled named
-                end
-              end)
+              then check_rule t compiled trans)
             rules;
           Transition.retire trans)
       tables
@@ -816,6 +875,7 @@ let bound_schemas_for t ~func =
 
 let resubmit_recovered t ~ctx ~func ~key ~release_time ~created_at
     ~(bound : Wal.bound_rows) =
+  let cell = function_cell t func in
   match bound_schemas_for t ~func with
   | None -> rule_error "recovery: no rule executes user function %s" func
   | Some schemas ->
@@ -838,7 +898,7 @@ let resubmit_recovered t ~ctx ~func ~key ~release_time ~created_at
     let task =
       Task.create ~klass:Task.Recompute ~func_name:func ~unique_key:key
         ~bound:bound_tbls ?ctx ~release_time ~created_at
-        (fun task -> run_action t task)
+        (fun task -> run_action t cell task)
     in
     Unique.register t.reg ~func ~key task;
     submit t task

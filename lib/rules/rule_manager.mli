@@ -88,13 +88,28 @@ val register_function : t -> string -> user_fun -> unit
 
 val create_rule : t -> Rule_ast.t -> unit
 (** Compile and install a rule.  Validates that the table exists, that
-    unique columns appear in the rule's bound tables, and that bound tables
-    agree in layout with other rules executing the same function (the §2
-    requirement that lets their batches merge).
+    every [when updated] column exists in it, that unique columns appear
+    in the rule's bound tables, and that bound tables agree in layout with
+    other rules executing the same function (the §2 requirement that lets
+    their batches merge).  Every condition and evaluate query is prepared
+    here ({!Strip_relational.Query.prepare}); a firing prepares a query
+    again only when its dependency check fails (a table added or dropped,
+    an index created or dropped on a scanned table), so later DDL keeps
+    working.
     @raise Rule_error on any violation. *)
 
 val create_rule_text : t -> string -> unit
 (** Parse (Figure 2 syntax) and install. *)
+
+val reference_firing : bool ref
+(** Testing knob, default [false].  When [true], every firing runs its
+    queries ad hoc — {!Strip_relational.Query.run} then
+    {!Strip_relational.Query.bind}, preparing afresh each time — instead
+    of executing the plans prepared at [create rule] straight into their
+    bound tables.  Both paths split [unique on] tables the same way, once
+    every condition holds.
+    Results and meter ticks must be identical; the differential tests
+    assert this. *)
 
 val drop_rule : t -> string -> unit
 (** @raise Rule_error if no such rule. *)

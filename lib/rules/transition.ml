@@ -6,6 +6,7 @@ type t = {
   deleted : Temp_table.t;
   new_ : Temp_table.t;
   old : Temp_table.t;
+  tables : Temp_table.t array;  (* the four, in [env] order *)
 }
 
 let execute_order_column = "execute_order"
@@ -16,13 +17,12 @@ let transition_schema base =
     @ [ Schema.column execute_order_column Value.TInt ])
 
 (* Every commit against the same base table builds four transition tables
-   with the same derived schema and static map.  Cache the layout per base
-   schema (physical identity — schemas are created once per table) so the
-   per-commit cost is four small arena allocations, and so every transition
-   table over one base shares a physically-identical schema, which lets
-   downstream plan caches key on it. *)
-let layouts : (Schema.t * (Schema.t * Temp_table.provenance array)) list ref =
-  ref []
+   with the same derived layout.  Cache the layout per base schema
+   (physical identity — schemas are created once per table), so a commit
+   pays for no validation, every transition table over one base shares
+   one physical layout, and a query prepared against it stays valid for
+   every later commit. *)
+let layouts : (Schema.t * Temp_table.layout) list ref = ref []
 
 let layout_for base =
   match List.assq_opt base !layouts with
@@ -36,29 +36,47 @@ let layout_for base =
           if i < base_arity then Temp_table.From_record (0, i)
           else Temp_table.Computed 0)
     in
-    let l = (transition_schema base, prov) in
+    let l = Temp_table.layout ~schema:(transition_schema base) ~nslots:1 ~prov in
     layouts := (base, l) :: !layouts;
     l
 
-let build ~schema ~table entries =
-  ignore table;
-  let tschema, prov = layout_for schema in
-  let make_table name = Temp_table.create ~name ~schema:tschema ~nslots:1 ~prov in
+let build ~schema entries =
+  let layout = layout_for schema in
+  let make_table name = Temp_table.of_layout ~name layout in
   let inserted = make_table "inserted" in
   let deleted = make_table "deleted" in
   let new_ = make_table "new" in
   let old = make_table "old" in
+  (* size each arena exactly: one pass to count, then no regrowth *)
+  let ins = ref 0 and del = ref 0 and upd = ref 0 in
   List.iter
     (fun (e : Tlog.entry) ->
-      let seq = [| Value.Int e.execute_order |] in
       match e.change with
-      | Tlog.Inserted r -> Temp_table.append inserted ~srcs:[| r |] ~mats:seq
-      | Tlog.Deleted r -> Temp_table.append deleted ~srcs:[| r |] ~mats:seq
-      | Tlog.Updated { old_rec; new_rec } ->
-        Temp_table.append old ~srcs:[| old_rec |] ~mats:(Array.copy seq);
-        Temp_table.append new_ ~srcs:[| new_rec |] ~mats:seq)
+      | Tlog.Inserted _ -> incr ins
+      | Tlog.Deleted _ -> incr del
+      | Tlog.Updated _ -> incr upd)
     entries;
-  { inserted; deleted; new_; old }
+  Temp_table.reserve inserted !ins;
+  Temp_table.reserve deleted !del;
+  Temp_table.reserve new_ !upd;
+  Temp_table.reserve old !upd;
+  (* appends copy out of these, so one pair serves every entry *)
+  let src = [| Record.dummy |] and seq = [| Value.Null |] in
+  let add tmp r order =
+    src.(0) <- r;
+    seq.(0) <- Value.Int order;
+    Temp_table.append tmp ~srcs:src ~mats:seq
+  in
+  List.iter
+    (fun (e : Tlog.entry) ->
+      match e.change with
+      | Tlog.Inserted r -> add inserted r e.execute_order
+      | Tlog.Deleted r -> add deleted r e.execute_order
+      | Tlog.Updated { old_rec; new_rec } ->
+        add old old_rec e.execute_order;
+        add new_ new_rec e.execute_order)
+    entries;
+  { inserted; deleted; new_; old; tables = [| inserted; deleted; new_; old |] }
 
 let env t =
   [
@@ -68,8 +86,4 @@ let env t =
     ("old", t.old);
   ]
 
-let retire t =
-  Temp_table.retire t.inserted;
-  Temp_table.retire t.deleted;
-  Temp_table.retire t.new_;
-  Temp_table.retire t.old
+let retire t = Array.iter Temp_table.retire t.tables

@@ -18,18 +18,16 @@ type t = {
   deleted : Strip_relational.Temp_table.t;
   new_ : Strip_relational.Temp_table.t;
   old : Strip_relational.Temp_table.t;
+  tables : Strip_relational.Temp_table.t array;
+      (** the four, in {!env} order: the execution-time environment of a
+          query prepared against {!env} *)
 }
 
-val execute_order_column : string
-(** ["execute_order"]. *)
-
-val build :
-  schema:Strip_relational.Schema.t ->
-  table:string ->
-  Strip_txn.Tlog.entry list ->
-  t
-(** Build the four tables from the given table's log entries (the caller
-    filters the log by table name; [entries] must be in execution order). *)
+val build : schema:Strip_relational.Schema.t -> Strip_txn.Tlog.entry list -> t
+(** Build the four tables from one table's log entries (the caller
+    filters the log by table name; [entries] must be in execution order).
+    The tables share the layout cached for [schema], and a table that gets
+    no row allocates no storage. *)
 
 val env : t -> Strip_relational.Catalog.env
 (** The four tables under their standard names [inserted], [deleted],

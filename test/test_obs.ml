@@ -532,6 +532,95 @@ let test_trace_has_lifecycle_vocabulary () =
         (List.mem expected names))
     [ "enqueue"; "release"; "commit"; "merge" ]
 
+(* Reference model: the bucket scheme kept in a Hashtbl keyed by bucket
+   index (the histogram's original store), with percentiles and bucket
+   lists recomputed from it.  The array-backed histogram must agree with it
+   exactly on any values, non-positive, NaN, tiny and huge included, and
+   after merges. *)
+module Hist_model = struct
+  let gamma = sqrt (sqrt 2.0)
+  let log_gamma = log gamma
+  let lo i = gamma ** float_of_int i
+  let hi i = gamma ** float_of_int (i + 1)
+
+  let buckets values =
+    let tbl = Hashtbl.create 16 and under = ref 0 in
+    List.iter
+      (fun v ->
+        if Float.is_nan v || v <= 0.0 then incr under
+        else begin
+          let i = int_of_float (Float.floor (log v /. log_gamma)) in
+          let i = if v < lo i then i - 1 else i in
+          let i = if v >= hi i then i + 1 else i in
+          Hashtbl.replace tbl i (1 + Option.value ~default:0 (Hashtbl.find_opt tbl i))
+        end)
+      values;
+    let pos =
+      Hashtbl.fold (fun i c acc -> (i, c) :: acc) tbl []
+      |> List.sort compare
+      |> List.map (fun (i, c) -> (lo i, hi i, c))
+    in
+    if !under > 0 then (0.0, 0.0, !under) :: pos else pos
+
+  let percentile values p =
+    let n = List.length values in
+    let finite = List.filter (fun v -> not (Float.is_nan v)) values in
+    let mn = List.fold_left Float.min infinity finite
+    and mx = List.fold_left Float.max neg_infinity finite in
+    let mn, mx = if mn > mx then (0.0, 0.0) else (mn, mx) in
+    if n = 0 then 0.0
+    else begin
+      let k = max 1 (int_of_float (Float.ceil (Float.of_int n *. p /. 100.0))) in
+      let k = min k n in
+      let rec walk rest = function
+        | [] -> mx
+        | (blo, bhi, c) :: bs ->
+          if rest <= c then
+            if blo = 0.0 && bhi = 0.0 then 0.0
+            else Float.max mn (Float.min mx (sqrt (blo *. bhi)))
+          else walk (rest - c) bs
+      in
+      walk k (buckets values)
+    end
+end
+
+let gen_hist_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, float_range 1e-6 1e6);
+        (2, float_range (-10.0) 0.0);
+        (1, return 0.0);
+        (1, return Float.nan);
+        (1, return infinity);
+        (1, oneofl [ 1e-300; 5e-324; 1e300; 1e-160; 1e160 ]);
+        (2, map (fun i -> Hist_model.gamma ** float_of_int i) (int_range (-40) 40));
+      ])
+
+let prop_hist_model =
+  QCheck2.Test.make ~name:"histogram agrees with the Hashtbl model" ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 0 60) gen_hist_value)
+                   (list_size (int_range 0 60) gen_hist_value))
+    (fun (xs, ys) ->
+      let of_list vs =
+        let h = Histogram.create () in
+        List.iter (Histogram.add h) vs;
+        h
+      in
+      let same h vs =
+        Histogram.buckets h = Hist_model.buckets vs
+        && List.for_all
+             (fun p ->
+               let a = Histogram.percentile h p
+               and b = Hist_model.percentile vs p in
+               a = b || (Float.is_nan a && Float.is_nan b))
+             [ 0.0; 1.0; 50.0; 90.0; 99.0; 100.0 ]
+      in
+      let hx = of_list xs and hy = of_list ys in
+      let merged = Histogram.merge [ hx; hy ] in
+      Histogram.merge_into ~dst:hx hy;
+      same (of_list xs) xs && same merged (xs @ ys) && same hx (xs @ ys))
+
 let suite =
   [
     ( "obs/histogram",
@@ -548,6 +637,7 @@ let suite =
         Alcotest.test_case "merge" `Quick test_hist_merge;
         Alcotest.test_case "merge list (cluster aggregation)" `Quick
           test_hist_merge_list;
+        QCheck_alcotest.to_alcotest prop_hist_model;
       ] );
     ( "obs/trace",
       [

@@ -217,14 +217,30 @@ let test_bind_overrides () =
 
 let test_partition () =
   let cat = setup () in
-  let result = run cat (scan "emp") in
-  let parts = Query.partition result ~cols:[ "dept" ] in
-  Alcotest.(check int) "three groups" 3 (List.length parts);
-  let sizes = List.map (fun (_, r) -> Query.row_count r) parts in
-  Alcotest.(check (list int)) "sizes in first-seen order" [ 2; 2; 1 ] sizes;
-  match Query.partition result ~cols:[ "nope" ] with
-  | exception Query.Plan_error _ -> ()
-  | _ -> Alcotest.fail "unknown partition column accepted"
+  let whole = Query.bind ~name:"b" (run cat (scan "emp")) in
+  Meter.reset ();
+  let parts = Query.partition_bound whole ~cols:[ 1 ] in
+  Alcotest.(check int) "one partition_row tick per row" 5 (Meter.get "partition_row");
+  Alcotest.(check (list (list string))) "keys in first-seen order"
+    [ [ "eng" ]; [ "ops" ]; [ "hr" ] ]
+    (List.map (fun (k, _) -> List.map Value.to_string k) parts);
+  Alcotest.(check (list (list string))) "rows in their original order"
+    [ [ "ann"; "bob" ]; [ "cat"; "dan" ]; [ "eve" ] ]
+    (List.map
+       (fun (_, p) -> List.map (fun r -> Value.to_string r.(0)) (Temp_table.to_rows p))
+       parts);
+  Alcotest.(check bool) "same name and layout, pointers kept" true
+    (List.for_all
+       (fun (_, p) ->
+         Temp_table.name p = "b"
+         && Temp_table.layout_of p == Temp_table.layout_of whole
+         && Temp_table.slots p = 1)
+       parts);
+  Alcotest.(check int) "source emptied" 0 (Temp_table.cardinal whole);
+  let other = Query.bind ~name:"b" (run cat (scan "dept")) in
+  match Temp_table.split other (fun _ -> other) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "split into the source accepted"
 
 let test_unknown_relation () =
   let cat = setup () in

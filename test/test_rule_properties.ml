@@ -167,6 +167,113 @@ let prop_both_views_together =
            (Option_rules.recompute_from_scratch h)
            (Option_rules.maintained h) 1e-12)
 
+(* Differential check of the prepared firing path.  The same workload runs
+   twice: once with every bound query prepared at [create rule] and
+   executed straight into its bound table, once with the reference path
+   that runs each firing's queries ad hoc ([Query.run], [Query.bind],
+   preparing afresh every time).  Every action records
+   its task's unique key and bound-table rows; the two runs must agree on
+   those, on the firing/merge/task counts and on every meter counter.  The
+   DDL cases change the catalog between two halves of the feed, so the
+   prepared path is right only if its dependency check re-prepares. *)
+
+type ddl = No_ddl | Create_index | Drop_index | Recreate_table
+
+let comps_index = "i_cl"
+
+let change_catalog db u = function
+  | No_ddl -> ()
+  | Create_index ->
+    ignore
+      (Table.create_index
+         (Catalog.table_exn (Strip_db.catalog db) "comps_list")
+         ~name:comps_index ~kind:Index.Hash ~cols:[ "symbol" ])
+  | Drop_index ->
+    Table.drop_index (Catalog.table_exn (Strip_db.catalog db) "comps_list") comps_index
+  | Recreate_table ->
+    (* same shape, other weights: a plan still scanning the dropped table
+       would bind the old ones *)
+    let cat = Strip_db.catalog db in
+    let schema = Table.schema (Catalog.table_exn cat "comps_list") in
+    Catalog.drop_table cat "comps_list";
+    let tb = Catalog.create_table cat ~name:"comps_list" ~schema in
+    List.iter
+      (fun (c, st, w) ->
+        ignore
+          (Table.insert tb
+             [| Value.Str (Printf.sprintf "C%d" c); Value.Str (sym st);
+                Value.Float (w *. 2.0) |]))
+      (List.rev u.memberships);
+    ignore (Table.create_index tb ~name:comps_index ~kind:Index.Hash ~cols:[ "symbol" ])
+
+let observe ~reference ~ddl u rule_text =
+  Rule_manager.reference_firing := reference;
+  Fun.protect
+    ~finally:(fun () -> Rule_manager.reference_firing := false)
+    (fun () ->
+      Meter.reset ();
+      let db, h = build u in
+      if ddl = Create_index then Table.drop_index h.Pta_tables.comps_list comps_index;
+      let seen = ref [] in
+      Strip_db.register_function db (Rule_parser.parse rule_text).Rule_ast.func
+        (fun ctx ->
+          let task = ctx.Rule_manager.task in
+          seen :=
+            ( task.Strip_txn.Task.unique_key,
+              List.map
+                (fun (name, tmp) -> (name, Temp_table.to_rows tmp))
+                task.Strip_txn.Task.bound )
+            :: !seen);
+      Strip_db.create_rule db rule_text;
+      let quotes = List.stable_sort compare u.quotes in
+      let half = List.length quotes / 2 in
+      let submit offset =
+        List.iter (fun (at, st, price) ->
+            Strip_db.submit_update db ~at:(at +. offset) (fun txn ->
+                Db_ops.update_stock_price txn ~stocks:h.Pta_tables.stocks
+                  ~by_symbol:h.Pta_tables.stocks_by_symbol ~symbol:(sym st) ~price))
+      in
+      submit 0.0 (List.filteri (fun i _ -> i < half) quotes);
+      Strip_db.run db;
+      change_catalog db u ddl;
+      submit 100.0 (List.filteri (fun i _ -> i >= half) quotes);
+      Strip_db.run db;
+      let mgr = Strip_db.rules db in
+      ( List.rev !seen,
+        ( Rule_manager.n_rule_firings mgr,
+          Rule_manager.n_merges mgr,
+          Rule_manager.n_tasks_created mgr ),
+        Meter.fold (fun name v acc -> (name, v) :: acc) [] ))
+
+let prepared_matches_reference ~ddl u rule_text =
+  let prepared = observe ~reference:false ~ddl u rule_text in
+  let reference = observe ~reference:true ~ddl u rule_text in
+  prepared = reference
+
+let rule_texts delay =
+  List.map (fun v -> Comp_rules.rule_text v ~delay) Comp_rules.all_variants
+  @ List.map
+      (fun v -> Option_rules.rule_text v ~delay)
+      (Option_rules.all_variants @ [ Option_rules.Unique_on_option ])
+
+let prop_prepared_every_variant =
+  QCheck2.Test.make
+    ~name:"prepared firing = ad-hoc run+bind, every comp and option variant"
+    ~count:40
+    QCheck2.Gen.(pair gen_universe (int_range 0 7))
+    (fun (u, vi) ->
+      prepared_matches_reference ~ddl:No_ddl u (List.nth (rule_texts u.delay) vi))
+
+let prop_prepared_after_ddl =
+  QCheck2.Test.make
+    ~name:"prepared firing re-prepares after create/drop index and table re-creation"
+    ~count:30
+    QCheck2.Gen.(triple gen_universe (int_range 0 3) (int_range 0 2))
+    (fun (u, vi, di) ->
+      prepared_matches_reference
+        ~ddl:(List.nth [ Create_index; Drop_index; Recreate_table ] di)
+        u (List.nth (rule_texts u.delay) vi))
+
 let suite =
   [
     ( "rule-properties",
@@ -174,5 +281,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_comp_variants;
         QCheck_alcotest.to_alcotest prop_option_variants;
         QCheck_alcotest.to_alcotest prop_both_views_together;
+        QCheck_alcotest.to_alcotest prop_prepared_every_variant;
+        QCheck_alcotest.to_alcotest prop_prepared_after_ddl;
       ] );
   ]

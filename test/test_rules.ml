@@ -118,18 +118,26 @@ let test_event_matches () =
   let old_rec = Record.create [| Value.Str "a"; Value.Int 1 |] in
   let new_rec = Record.create [| Value.Str "a"; Value.Int 2 |] in
   let upd = Tlog.Updated { old_rec; new_rec } in
+  let fires events change =
+    match Rule_ast.resolve_events ~schema events with
+    | Ok tr -> Rule_ast.fires tr change
+    | Error col -> Alcotest.failf "column %s not resolved" col
+  in
   Alcotest.(check bool) "updated any" true
-    (Rule_ast.event_matches ~schema (Rule_ast.On_update []) upd);
+    (fires [ Rule_ast.On_update [] ] upd);
   Alcotest.(check bool) "updated v" true
-    (Rule_ast.event_matches ~schema (Rule_ast.On_update [ "v" ]) upd);
+    (fires [ Rule_ast.On_update [ "v" ] ] upd);
   Alcotest.(check bool) "updated k (unchanged)" false
-    (Rule_ast.event_matches ~schema (Rule_ast.On_update [ "k" ]) upd);
-  Alcotest.(check bool) "unknown column" false
-    (Rule_ast.event_matches ~schema (Rule_ast.On_update [ "zz" ]) upd);
+    (fires [ Rule_ast.On_update [ "k" ] ] upd);
+  Alcotest.(check bool) "unknown column is rejected" true
+    (Rule_ast.resolve_events ~schema [ Rule_ast.On_update [ "zz" ] ]
+    = Error "zz");
   Alcotest.(check bool) "insert event vs update change" false
-    (Rule_ast.event_matches ~schema Rule_ast.On_insert upd);
+    (fires [ Rule_ast.On_insert ] upd);
   Alcotest.(check bool) "insert" true
-    (Rule_ast.event_matches ~schema Rule_ast.On_insert (Tlog.Inserted new_rec))
+    (fires [ Rule_ast.On_insert ] (Tlog.Inserted new_rec));
+  Alcotest.(check bool) "any of several events" true
+    (fires [ Rule_ast.On_delete; Rule_ast.On_update [ "k"; "v" ] ] upd)
 
 let test_transition_tables () =
   let log = Tlog.create () in
@@ -139,7 +147,7 @@ let test_transition_tables () =
   Tlog.log_insert log ~table:"t" r2;
   Tlog.log_update log ~table:"t" ~old_rec:r1 ~new_rec:r1';
   Tlog.log_delete log ~table:"t" r2;
-  let trans = Transition.build ~schema ~table:"t" (Tlog.entries log) in
+  let trans = Transition.build ~schema (Tlog.entries log) in
   Alcotest.(check int) "inserted rows" 1 (Temp_table.cardinal trans.Transition.inserted);
   Alcotest.(check int) "deleted rows" 1 (Temp_table.cardinal trans.Transition.deleted);
   Alcotest.(check int) "new rows" 1 (Temp_table.cardinal trans.Transition.new_);
@@ -184,6 +192,39 @@ let test_condition_gates_action () =
   ignore (Strip_db.exec db "update t set v = 50 where k = 'a'");
   Strip_db.run db;
   Alcotest.(check int) "condition true: action ran" 1 !fired
+
+(* [unique on] splits a bound table only once every condition holds, so a
+   commit whose second condition is empty charges no "partition_row". *)
+let test_unique_on_partitions_after_conditions () =
+  List.iter
+    (fun reference ->
+      Rule_manager.reference_firing := reference;
+      Fun.protect
+        ~finally:(fun () -> Rule_manager.reference_firing := false)
+        (fun () ->
+          let db = mkdb () in
+          let keys = ref [] in
+          Strip_db.register_function db "f" (fun ctx ->
+              keys := ctx.Rule_manager.task.Strip_txn.Task.unique_key :: !keys);
+          Strip_db.create_rule db
+            {|create rule r on t when updated v
+              if select new.k as k from new bind as a,
+                 select new.k as k2 from new where new.v > 100
+              then execute f unique on k|};
+          Meter.reset ();
+          ignore (Strip_db.exec db "update t set v = 5 where k = 'a'");
+          Strip_db.run db;
+          Alcotest.(check int) "second condition empty: nothing split" 0
+            (Meter.get "partition_row");
+          ignore (Strip_db.exec db "update t set v = 500 where v < 10");
+          Strip_db.run db;
+          Alcotest.(check int) "both hold: one tick per row" 2
+            (Meter.get "partition_row");
+          Alcotest.(check (list (list string))) "one task per key"
+            [ [ "a" ]; [ "b" ] ]
+            (List.sort compare
+               (List.map (fun k -> List.map Value.to_string (Option.get k)) !keys))))
+    [ false; true ]
 
 let test_bound_table_and_commit_time () =
   let db = mkdb () in
@@ -295,6 +336,36 @@ let test_rule_validation () =
   | exception Rule_manager.Rule_error _ -> ()
   | _ -> Alcotest.fail "unique column outside bound tables accepted"
 
+(* A misspelled [when updated] column used to be accepted, and the rule
+   then never fired. *)
+let test_unknown_update_column () =
+  let db = mkdb () in
+  let runs = ref 0 in
+  Strip_db.register_function db "f" (fun _ -> incr runs);
+  (match
+     Strip_db.create_rule db "create rule r on t when updated vv then execute f"
+   with
+  | exception Rule_manager.Rule_error _ -> ()
+  | _ -> Alcotest.fail "unknown update column accepted");
+  Strip_db.create_rule db "create rule r on t when updated v then execute f";
+  ignore (Strip_db.exec db "update t set v = 9 where k = 'a'");
+  Strip_db.run db;
+  Alcotest.(check int) "the correctly spelled rule fires" 1 !runs
+
+(* A rule resolves its function once, yet sees registrations made after
+   [create rule], case-insensitively, including replacements. *)
+let test_function_registered_after_rule () =
+  let db = mkdb () in
+  let calls = ref [] in
+  Strip_db.create_rule db "create rule r on t when updated then execute late_f";
+  Strip_db.register_function db "late_f" (fun _ -> calls := 1 :: !calls);
+  ignore (Strip_db.exec db "update t set v = 8 where k = 'a'");
+  Strip_db.run db;
+  Strip_db.register_function db "LATE_F" (fun _ -> calls := 2 :: !calls);
+  ignore (Strip_db.exec db "update t set v = 9 where k = 'a'");
+  Strip_db.run db;
+  Alcotest.(check (list int)) "first, then the replacement" [ 2; 1 ] !calls
+
 let test_unregistered_function_fails_at_run () =
   let db = mkdb () in
   Strip_db.create_rule db "create rule r on t when updated then execute ghost_fn";
@@ -317,6 +388,12 @@ let suite =
         Alcotest.test_case "event matching" `Quick test_event_matches;
         Alcotest.test_case "transition tables" `Quick test_transition_tables;
         Alcotest.test_case "condition gates the action" `Quick test_condition_gates_action;
+        Alcotest.test_case "unknown update column rejected" `Quick
+          test_unknown_update_column;
+        Alcotest.test_case "function registered after the rule" `Quick
+          test_function_registered_after_rule;
+        Alcotest.test_case "unique on: split only once every condition holds" `Quick
+          test_unique_on_partitions_after_conditions;
         Alcotest.test_case "bound tables + commit_time" `Quick
           test_bound_table_and_commit_time;
         Alcotest.test_case "evaluate clause binds" `Quick test_evaluate_clause_binds;

@@ -288,6 +288,23 @@ let test_drop_table () =
   | exception Query.Plan_error _ -> ()
   | _ -> Alcotest.fail "double drop accepted"
 
+let test_drop_index () =
+  let cat = db () in
+  ignore (exec cat "create table t (k string, v int)");
+  ignore (exec cat "create index t_k on t (k)");
+  ignore (exec cat "insert into t values ('a',1),('b',2)");
+  ignore (exec cat "drop index t_k on t");
+  Meter.reset ();
+  ignore (exec cat "update t set v = 0 where k = 'a'");
+  Alcotest.(check int) "no index left: the update scans" 2 (Meter.get "fetch_cursor");
+  ignore (exec cat "insert into t values ('c',3)");
+  Alcotest.(check (list (list string)))
+    "rows intact" [ [ "a"; "0" ]; [ "b"; "2" ]; [ "c"; "3" ] ]
+    (rows cat "select k, v from t order by k");
+  match exec cat "drop index t_k on t" with
+  | exception Query.Plan_error _ -> ()
+  | _ -> Alcotest.fail "double drop accepted"
+
 let test_aggregate_rejects_nested () =
   let cat = db () in
   ignore (exec cat "create table t (x int)");
@@ -380,6 +397,7 @@ let suite =
         Alcotest.test_case "join ... on syntax" `Quick test_join_on_syntax;
         Alcotest.test_case "explain" `Quick test_explain_statement;
         Alcotest.test_case "drop table" `Quick test_drop_table;
+        Alcotest.test_case "drop index" `Quick test_drop_index;
         Alcotest.test_case "nested aggregates rejected" `Quick
           test_aggregate_rejects_nested;
         Alcotest.test_case "aggregates over empty / all-NULL groups" `Quick
